@@ -8,14 +8,6 @@ simultaneous eigenvalues of commuting multiplication matrices on the
 the global optimum is certified, not just a local one.
 """
 
-from .dqideal import (
-    DiagQuadSystem,
-    NormalFormElement,
-    SparsePoly,
-    basis_monomials,
-    multiply_by_variable,
-    normal_form,
-)
 from .errors import (
     BasisSizeError,
     CommutationDefectError,
@@ -28,7 +20,6 @@ from .errors import (
     NotStrictlyProperError,
     NumericalError,
     PoleZeroCancellationError,
-    ReductionBudgetError,
     RepeatedPoleError,
     UnstablePoleError,
     ValidationError,
@@ -40,9 +31,7 @@ from .poly import (
     eval_poly,
     is_hurwitz,
     reflect,
-    root_residuals,
     roots,
-    vandermonde_solve,
 )
 from .reduce import (
     ReductionReport,
@@ -51,24 +40,25 @@ from .reduce import (
     solve_reduction,
 )
 from .stetter import (
+    DiagQuadSystem,
     EigenSolution,
     EigenSolutionSet,
     MultiplicationMatrices,
     build_critical_value_matrix,
     build_multiplication_matrices,
     common_eigen_solutions,
-    evaluate_poly_at_matrices,
 )
 from .tf import (
     TransferFunction,
     ValidatedSystem,
+    from_pole_residue,
+    generate_relaxation,
     h2_distance,
     h2_norm,
     strip_feedthrough,
     validate,
 )
 from .tolerances import PROFILES, Tolerances
-from .cli import from_pole_residue, generate_relaxation
 
 __version__ = "0.1.0"
 
@@ -86,22 +76,18 @@ __all__ = [
     "InputError",
     "MultiplicationMatrices",
     "NoAdmissibleSolutionError",
-    "NormalFormElement",
     "NotStrictlyProperError",
     "NumericalError",
     "PROFILES",
     "PoleZeroCancellationError",
     "Polynomial",
-    "ReductionBudgetError",
     "ReductionReport",
     "RepeatedPoleError",
-    "SparsePoly",
     "Tolerances",
     "TransferFunction",
     "UnstablePoleError",
     "ValidatedSystem",
     "ValidationError",
-    "basis_monomials",
     "build_M",
     "build_critical_value_matrix",
     "build_multiplication_matrices",
@@ -109,22 +95,17 @@ __all__ = [
     "critical_value",
     "derivative",
     "eval_poly",
-    "evaluate_poly_at_matrices",
     "foc_residual",
     "from_pole_residue",
     "generate_relaxation",
     "h2_distance",
     "h2_norm",
     "is_hurwitz",
-    "multiply_by_variable",
-    "normal_form",
     "recover_candidate",
     "reflect",
-    "root_residuals",
     "roots",
     "select_global",
     "solve_reduction",
     "strip_feedthrough",
     "validate",
-    "vandermonde_solve",
 ]

@@ -26,33 +26,17 @@ from .errors import (
 )
 from .poly import Polynomial
 from .reduce import ReductionReport, solve_reduction
-from .tf import TransferFunction, strip_feedthrough, validate
+from .stetter import N_CAP
+from .tf import (
+    TransferFunction,
+    from_pole_residue,
+    generate_relaxation,
+    strip_feedthrough,
+    validate,
+)
 from .tolerances import PROFILES, Tolerances
 
 DEFAULT_CAP = 9
-HARD_CAP = 14
-
-
-def generate_relaxation(n: int, alpha: float) -> TransferFunction:
-    """G(s) = sum_{j=1}^n alpha^(2j) / (s + alpha^(2j))."""
-    if n < 1:
-        raise InputError("relaxation order must be >= 1")
-    if alpha <= 0:
-        raise InputError("relaxation parameter alpha must be > 0")
-    if alpha == 1.0:
-        raise InputError("degenerate relaxation system (first order): alpha = 1")
-    gains = np.array([alpha ** (2 * j) for j in range(1, n + 1)])
-    den = np.array([1.0])
-    for g in gains:
-        den = np.convolve(den, [1.0, g])
-    num = np.zeros(n)
-    for i, g in enumerate(gains):
-        term = np.array([g])
-        for j, h in enumerate(gains):
-            if j != i:
-                term = np.convolve(term, [1.0, h])
-        num += term
-    return TransferFunction(Polynomial(np.trim_zeros(num, "f")), Polynomial(den))
 
 
 def _parse_floats(text: str) -> List[float]:
@@ -116,34 +100,6 @@ def parse_system_file(path: str) -> TransferFunction:
             _parse_complex_pairs(fields["residues"]),
         )
     raise InputError(f"{path} contains neither coefficient nor pole-residue fields")
-
-
-def from_pole_residue(poles: np.ndarray, residues: np.ndarray) -> TransferFunction:
-    """Recombine sum_i r_i/(s - p_i) into a single coefficient-form system."""
-    if len(poles) != len(residues):
-        raise InputError("poles and residues must have equal length")
-    if len(poles) == 0:
-        raise InputError("empty pole list")
-    den = np.array([1.0 + 0.0j])
-    for p in poles:
-        den = np.convolve(den, [1.0, -p])
-    num = np.zeros(len(poles), dtype=complex)
-    for i, r in enumerate(residues):
-        term = np.array([r])
-        for j, p in enumerate(poles):
-            if j != i:
-                term = np.convolve(term, [1.0, -p])
-        num += term
-    scale = max(np.max(np.abs(num)), np.max(np.abs(den)))
-    if max(np.max(np.abs(num.imag)), np.max(np.abs(den.imag))) > 1e-9 * scale:
-        raise InputError(
-            "pole-residue data does not describe a real system "
-            "(conjugate closure violated)"
-        )
-    num = np.trim_zeros(num.real, "f")
-    if num.size == 0:
-        num = np.array([0.0])
-    return TransferFunction(Polynomial(num), Polynomial(den.real))
 
 
 def _fmt(x: float) -> str:
@@ -274,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "a non-strictly-proper input")
     p.add_argument("--output", choices=["text", "structured"], default="text")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                   help=f"maximum system order (default {DEFAULT_CAP}, hard cap {HARD_CAP})")
+                   help=f"maximum system order (default {DEFAULT_CAP}, hard cap {N_CAP})")
     return p
 
 
@@ -294,8 +250,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             tol = replace(tol, hurwitz=args.tol_hurwitz)
         if args.tol_eig is not None:
             tol = replace(tol, eig_residual=args.tol_eig)
-        if not 1 <= args.cap <= HARD_CAP:
-            raise InputError(f"--cap must be between 1 and {HARD_CAP}")
+        if not 1 <= args.cap <= N_CAP:
+            raise InputError(f"--cap must be between 1 and {N_CAP}")
 
         if args.relaxation is not None:
             n, alpha = _parse_relaxation_tokens(args.relaxation)

@@ -50,10 +50,9 @@ class NumericalError(H2ReduceError):
 
 
 class IllConditionedError(NumericalError):
-    """Vandermonde (or derived) system too ill-conditioned to solve."""
+    """The Vandermonde pair behind the coupling matrix is too ill-conditioned."""
 
-    def __init__(self, message, offending_pair=None, residual=None):
-        self.offending_pair = offending_pair
+    def __init__(self, message, residual=None):
         self.residual = residual
         super().__init__(message)
 
@@ -78,9 +77,5 @@ class NoAdmissibleSolutionError(H2ReduceError):
         super().__init__(message)
 
 
-class ReductionBudgetError(H2ReduceError):
-    """Normal-form reduction exceeded its term budget."""
-
-
 class BasisSizeError(H2ReduceError):
-    """2^N monomial basis exceeds the configured cap."""
+    """2^N monomial basis exceeds the cap on N."""

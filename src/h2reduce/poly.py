@@ -2,9 +2,6 @@
 
 Coefficients are stored in DESCENDING degree order (index 0 is the leading
 coefficient), matching the usual engineering transfer-function convention.
-The one deliberate exception is :func:`vandermonde_solve`, which returns the
-interpolating coefficients in ASCENDING order because that is the layout of
-the linear systems it is used to solve downstream.
 """
 
 from __future__ import annotations
@@ -13,8 +10,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-
-from .errors import IllConditionedError
 
 
 def _trim(coeffs: np.ndarray) -> np.ndarray:
@@ -108,12 +103,6 @@ def roots(p: Polynomial) -> np.ndarray:
     return np.roots(p.coeffs)
 
 
-def root_residuals(p: Polynomial, rts: np.ndarray) -> np.ndarray:
-    """Per-root residual |p(root)| / ||p||, for diagnostics."""
-    scale = np.linalg.norm(p.coeffs)
-    return np.array([abs(eval_poly(p, r)) for r in rts]) / scale
-
-
 def is_hurwitz(p: Polynomial, tol: float = 1e-9) -> bool:
     """True iff every root lies strictly left of -tol.
 
@@ -124,33 +113,3 @@ def is_hurwitz(p: Polynomial, tol: float = 1e-9) -> bool:
     if p.degree == 0:
         return True
     return bool(np.all(roots(p).real < -tol))
-
-
-def vandermonde_solve(
-    nodes: Sequence[complex],
-    rhs: Sequence[complex],
-    sep_tol: float = 1e-8,
-) -> np.ndarray:
-    """Solve V(nodes) c = rhs for ascending-order coefficients c.
-
-    Direct dense LU with partial pivoting; never forms the explicit inverse.
-    Rejects node sets whose minimum pairwise distance falls below
-    sep_tol * max|node| (clustered nodes make the system meaningless).
-    """
-    nodes = np.atleast_1d(np.asarray(nodes, dtype=complex))
-    rhs = np.atleast_1d(np.asarray(rhs, dtype=complex))
-    n = len(nodes)
-    if len(rhs) != n:
-        raise ValueError("nodes and rhs must have equal length")
-    if n > 1:
-        scale = np.max(np.abs(nodes))
-        for i in range(n):
-            for j in range(i + 1, n):
-                if abs(nodes[i] - nodes[j]) < sep_tol * scale:
-                    raise IllConditionedError(
-                        "ill-conditioned Vandermonde / nodes too close: "
-                        f"{nodes[i]} vs {nodes[j]}",
-                        offending_pair=(nodes[i], nodes[j]),
-                    )
-    V = np.vander(nodes, n, increasing=True)
-    return np.linalg.solve(V, rhs)

@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .dqideal import DiagQuadSystem
 from .errors import (
     DegenerateLeadingCoefficientError,
     NoAdmissibleSolutionError,
@@ -24,6 +23,7 @@ from .errors import (
 )
 from .foc import CriticalPoint, build_M, recover_candidate
 from .stetter import (
+    DiagQuadSystem,
     build_critical_value_matrix,
     build_multiplication_matrices,
     common_eigen_solutions,
@@ -93,7 +93,6 @@ def _critical_levels(candidates: Sequence[CriticalPoint], tol: Tolerances) -> Li
 
 
 def select_global(
-    sys: ValidatedSystem,
     candidates: Sequence[CriticalPoint],
     tol: Optional[Tolerances] = None,
 ) -> Optional[CriticalPoint]:
@@ -140,8 +139,7 @@ def solve_reduction(
     diagnostics: Dict[str, object] = {"seed": seed, "method": method}
 
     m = build_M(sys, tol)
-    dq = DiagQuadSystem(m)
-    mm = build_multiplication_matrices(dq, tol)
+    mm = build_multiplication_matrices(DiagQuadSystem(m), tol)
     diagnostics["commutation_defect"] = mm.commutation_defect
     diagnostics["annihilation_defect"] = mm.annihilation_defect
 
@@ -177,7 +175,7 @@ def solve_reduction(
     diagnostics["degenerate_q0_rejections"] = degenerate_q0
 
     if method == "cvm":
-        a_f = build_critical_value_matrix(dq, weights, mm, tol)
+        a_f = build_critical_value_matrix(mm, weights)
         vals = np.linalg.eigvals(a_f)
         diagnostics["cvm_eigenvalues"] = vals
         matched = []
@@ -196,7 +194,7 @@ def solve_reduction(
     admissible = [cp for cp in candidates if cp.is_admissible and cp.rejection is None]
     norm = h2_norm(sys)
 
-    best = select_global(sys, candidates, tol)
+    best = select_global(candidates, tol)
     cross = {}
     for idx, cp in enumerate(admissible):
         approx = TransferFunction(cp.b, cp.a)

@@ -1,5 +1,11 @@
 """Commuting multiplication matrices on the 2^N quotient space.
 
+A diagonal-quadratic system is x_i^2 = m_i . x + mu_i, one equation per
+variable. Its generators form a Groebner basis outright (the leading terms
+x_i^2 are pairwise coprime), so the quotient ring has the 2^N square-free
+monomials as a basis. Bit convention: bit i of a basis index corresponds to
+variable x_i (0-based); index 0 is the constant monomial.
+
 Column k of A_{X_i} holds the square-free normal form of x_i * b_k, where
 b_k is the k-th basis monomial. If x_i * b_k is itself square-free the
 column is a standard basis vector; otherwise one substitution
@@ -14,9 +20,45 @@ from typing import List, Optional
 
 import numpy as np
 
-from .dqideal import DiagQuadSystem, SparsePoly
-from .errors import CommutationDefectError, DefectiveEigenstructureError
+from .errors import BasisSizeError, CommutationDefectError, DefectiveEigenstructureError
 from .tolerances import Tolerances
+
+# Largest N accepted; the CLI's --cap may not exceed it either.
+N_CAP = 14
+
+
+@dataclass(frozen=True)
+class DiagQuadSystem:
+    """The pair (M, mu) defining x_i^2 = m_i . x + mu_i."""
+
+    m: np.ndarray
+    mu: np.ndarray
+
+    def __init__(self, m, mu=None):
+        m = np.atleast_2d(np.asarray(m, dtype=complex))
+        n = m.shape[0]
+        if m.shape != (n, n):
+            raise ValueError("M must be square")
+        if n > N_CAP:
+            raise BasisSizeError(f"basis too large: N={n} exceeds cap {N_CAP}")
+        if mu is None:
+            mu = np.zeros(n, dtype=complex)
+        else:
+            mu = np.atleast_1d(np.asarray(mu, dtype=complex))
+            if mu.shape != (n,):
+                raise ValueError("mu must have length N")
+        m.setflags(write=False)
+        mu.setflags(write=False)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "mu", mu)
+
+    @property
+    def n_vars(self) -> int:
+        return self.m.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return 1 << self.n_vars
 
 
 @dataclass(frozen=True)
@@ -49,7 +91,6 @@ class EigenSolution:
 class EigenSolutionSet:
     solutions: List[EigenSolution]
     rejected: List[EigenSolution]
-    seed: int
 
 
 def build_multiplication_matrices(
@@ -246,51 +287,21 @@ def common_eigen_solutions(
                 )
                 for s in accepted
             ]
-            return EigenSolutionSet(
-                solutions=_dedupe(accepted, tol), rejected=rejected, seed=seed
-            )
+            return EigenSolutionSet(solutions=_dedupe(accepted, tol), rejected=rejected)
     raise DefectiveEigenstructureError(
         "defective eigenstructure suspected: no eigenvector passed the "
         "per-matrix residual checks after a reseeded retry"
     )
 
 
-def evaluate_poly_at_matrices(f: SparsePoly, mm: MultiplicationMatrices) -> np.ndarray:
-    """f(A_{X_1},...,A_{X_N}) over the commuting family."""
-    n, dim = mm.n_vars, mm.dim
-    if f.n_vars != n:
-        raise ValueError("variable count mismatch")
-    powers = [{0: np.eye(dim, dtype=complex)} for _ in range(n)]
-
-    def power(i: int, k: int) -> np.ndarray:
-        cache = powers[i]
-        if k not in cache:
-            cache[k] = mm.matrices[i] @ power(i, k - 1)
-        return cache[k]
-
-    out = np.zeros((dim, dim), dtype=complex)
-    for alpha, coeff in f.terms.items():
-        term = np.eye(dim, dtype=complex)
-        for i, e in enumerate(alpha):
-            if e:
-                term = term @ power(i, e)
-        out += coeff * term
-    return out
-
-
 def build_critical_value_matrix(
-    sys: DiagQuadSystem,
-    weights: np.ndarray,
-    mm: Optional[MultiplicationMatrices] = None,
-    tol: Optional[Tolerances] = None,
+    mm: MultiplicationMatrices, weights: np.ndarray
 ) -> np.ndarray:
     """A_F = sum_i weights_i A_{X_i}^3.
 
     Its eigenvalues are the values of the weighted cubic at every solution,
     with the quotient-ring multiplicity structure.
     """
-    if mm is None:
-        mm = build_multiplication_matrices(sys, tol)
     weights = np.asarray(weights, dtype=complex)
     dim = mm.dim
     out = np.zeros((dim, dim), dtype=complex)

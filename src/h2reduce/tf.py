@@ -8,6 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
+    InputError,
     NotStrictlyProperError,
     PoleZeroCancellationError,
     RepeatedPoleError,
@@ -56,6 +57,56 @@ def strip_feedthrough(numerator: Polynomial, denominator: Polynomial) -> Transfe
     q, r = np.polydiv(numerator.coeffs, denominator.coeffs)
     del q
     return TransferFunction(Polynomial(r), denominator)
+
+
+def generate_relaxation(n: int, alpha: float) -> TransferFunction:
+    """G(s) = sum_{j=1}^n alpha^(2j) / (s + alpha^(2j))."""
+    if n < 1:
+        raise InputError("relaxation order must be >= 1")
+    if alpha <= 0:
+        raise InputError("relaxation parameter alpha must be > 0")
+    if alpha == 1.0:
+        raise InputError("degenerate relaxation system (first order): alpha = 1")
+    gains = np.array([alpha ** (2 * j) for j in range(1, n + 1)])
+    den = np.array([1.0])
+    for g in gains:
+        den = np.convolve(den, [1.0, g])
+    num = np.zeros(n)
+    for i, g in enumerate(gains):
+        term = np.array([g])
+        for j, h in enumerate(gains):
+            if j != i:
+                term = np.convolve(term, [1.0, h])
+        num += term
+    return TransferFunction(Polynomial(np.trim_zeros(num, "f")), Polynomial(den))
+
+
+def from_pole_residue(poles: np.ndarray, residues: np.ndarray) -> TransferFunction:
+    """Recombine sum_i r_i/(s - p_i) into a single coefficient-form system."""
+    if len(poles) != len(residues):
+        raise InputError("poles and residues must have equal length")
+    if len(poles) == 0:
+        raise InputError("empty pole list")
+    den = np.array([1.0 + 0.0j])
+    for p in poles:
+        den = np.convolve(den, [1.0, -p])
+    num = np.zeros(len(poles), dtype=complex)
+    for i, r in enumerate(residues):
+        term = np.array([r])
+        for j, p in enumerate(poles):
+            if j != i:
+                term = np.convolve(term, [1.0, -p])
+        num += term
+    scale = max(np.max(np.abs(num)), np.max(np.abs(den)))
+    if max(np.max(np.abs(num.imag)), np.max(np.abs(den.imag))) > 1e-9 * scale:
+        raise InputError(
+            "pole-residue data does not describe a real system "
+            "(conjugate closure violated)"
+        )
+    num = np.trim_zeros(num.real, "f")
+    if num.size == 0:
+        num = np.array([0.0])
+    return TransferFunction(Polynomial(num), Polynomial(den.real))
 
 
 @dataclass(frozen=True)
@@ -180,12 +231,10 @@ def h2_distance(sys: ValidatedSystem, approx: TransferFunction,
                 f"approximant shares pole {p} with the original system; "
                 "the confluent residue limit is not supported"
             )
-    pa = roots(approx.denominator) if len(a_poles) > 1 else a_poles
-    if len(pa) > 1:
-        for i in range(len(pa)):
-            for j in range(i + 1, len(pa)):
-                if abs(pa[i] - pa[j]) < 1e-12 * scale:
-                    raise NumericalError("approximant has a repeated pole")
+    for i in range(len(a_poles)):
+        for j in range(i + 1, len(a_poles)):
+            if abs(a_poles[i] - a_poles[j]) < 1e-12 * scale:
+                raise NumericalError("approximant has a repeated pole")
     all_poles = np.concatenate([sys.poles, a_poles])
     all_res = np.concatenate([
         sys.e_at_poles / sys.dprime_at_poles,

@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 @dataclass(frozen=True)
 class Tolerances:
     # polynomial / linear algebra layer
-    vander_node_sep: float = 1e-8     # min pairwise node distance / max |node|
     hurwitz: float = 1e-9             # stability margin: Re(root) < -hurwitz
     # validation layer
     pole_sep: float = 1e-7            # min pairwise pole distance / max |pole|

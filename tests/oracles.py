@@ -2,17 +2,23 @@
 
 Nothing here reuses pipeline internals: the norm oracle integrates the
 frequency response, the small-N solution oracles eliminate variables by
-hand / lex Groebner bases, and the global-minimum oracle is a multi-start
-simplex search over the raw approximant parameters. The exception is the
-pair of eigen-layer loops at the end, the one-vector-at-a-time reference
-implementations the array kernels in ``h2reduce.stetter`` must agree with;
-they use the library's result types only.
+hand / lex Groebner bases, the global-minimum oracle is a multi-start
+simplex search over the raw approximant parameters, and the normal-form
+reference rewrites polynomials term by term instead of filling matrix
+columns. The exception is the pair of eigen-layer loops at the end, the
+one-vector-at-a-time reference implementations the array kernels in
+``h2reduce.stetter`` must agree with; they use the library's result types
+only.
+
+Polynomials in N variables are plain dicts {multi-index: coefficient}; a
+multi-index is a length-N tuple of exponents.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -135,6 +141,81 @@ def elimination_solutions_n3(m: np.ndarray) -> List[np.ndarray]:
         sols.append(_newton_polish(
             m, np.array([vals[x1], vals[x2], vals[x3]], dtype=complex)))
     return sols
+
+
+MultiIndex = Tuple[int, ...]
+
+
+def generator(sys, i: int) -> Dict[MultiIndex, complex]:
+    """g_i = x_i^2 - m_i . x - mu_i of a DiagQuadSystem (0-based i)."""
+    n = sys.n_vars
+    terms = {tuple(2 if j == i else 0 for j in range(n)): 1.0}
+    for j in range(n):
+        if sys.m[i, j] != 0:
+            terms[tuple(1 if k == j else 0 for k in range(n))] = -sys.m[i, j]
+    if sys.mu[i] != 0:
+        terms[(0,) * n] = -sys.mu[i]
+    return terms
+
+
+def normal_form(f: Dict[MultiIndex, complex], sys, strategy: str = "max_degree") -> np.ndarray:
+    """Square-free normal form of f modulo x_i^2 = m_i . x + mu_i.
+
+    Returns the coefficient vector over the 2^N square-free monomials (bit i
+    of the index <-> variable i). Monomials with an exponent >= 2 wait in a
+    priority queue and are rewritten one at a time with x_i^2 -> m_i . x +
+    mu_i at their first such i; every term is classified once, when it is
+    created. ``strategy`` sets the rewrite order, which must not change the
+    result: "max_degree" takes the highest total degree first, "min_index"
+    the lowest first reducible variable (then the highest degree).
+    """
+    n = sys.n_vars
+    out = np.zeros(1 << n, dtype=complex)
+    work: Dict[MultiIndex, complex] = {}
+    queue: List[Tuple[Tuple[int, int], MultiIndex]] = []
+
+    def add(alpha: MultiIndex, c: complex) -> None:
+        if alpha in work:
+            work[alpha] += c
+            return
+        first = next((k for k, e in enumerate(alpha) if e >= 2), None)
+        if first is None:
+            out[sum(1 << k for k, e in enumerate(alpha) if e)] += c
+        else:
+            work[alpha] = c
+            key = (first if strategy == "min_index" else 0, -sum(alpha))
+            heapq.heappush(queue, (key, alpha))
+
+    for alpha, c in f.items():
+        if len(alpha) != n:
+            raise ValueError("variable count mismatch")
+        add(alpha, c)
+    while queue:
+        _, alpha = heapq.heappop(queue)
+        c = work.pop(alpha)
+        i = next(k for k, e in enumerate(alpha) if e >= 2)
+        cofactor = tuple(e - 2 if k == i else e for k, e in enumerate(alpha))
+        if sys.mu[i] != 0:
+            add(cofactor, c * sys.mu[i])
+        for j in range(n):
+            if sys.m[i, j] != 0:
+                add(tuple(e + 1 if k == j else e for k, e in enumerate(cofactor)),
+                    c * sys.m[i, j])
+    return out
+
+
+def evaluate_poly_at_matrices(f: Dict[MultiIndex, complex], mm) -> np.ndarray:
+    """f(A_{X_1}, ..., A_{X_N}) over a commuting family, by matrix powers."""
+    n, dim = mm.n_vars, mm.dim
+    out = np.zeros((dim, dim), dtype=complex)
+    for alpha, coeff in f.items():
+        if len(alpha) != n:
+            raise ValueError("variable count mismatch")
+        term = np.eye(dim, dtype=complex)
+        for i, e in enumerate(alpha):
+            term = term @ np.linalg.matrix_power(mm.matrices[i], e)
+        out += coeff * term
+    return out
 
 
 def multistart_global_minimum(num, den, order, rng, n_starts=24) -> float:

@@ -13,6 +13,7 @@ from oracles import (
     elimination_solutions_n3,
     match_solution_sets,
     multistart_global_minimum,
+    normal_form,
     quad_h2_norm,
     residue_distance_sq,
 )
@@ -28,12 +29,10 @@ from h2reduce import (
     generate_relaxation,
     h2_distance,
     h2_norm,
-    normal_form,
     solve_reduction,
     validate,
 )
 from h2reduce.cli import main as cli_main
-from h2reduce.dqideal import SparsePoly
 from h2reduce.reduce import criterion_weights
 
 EX1_ERRORS = [0.0344, 0.8703, 0.8707, 1.6463, 1.6466, 1.6536, 1.6538, 1.6650]
@@ -212,20 +211,21 @@ def test_criterion_5_algebraic_invariants():
         worst_comm = max(worst_comm, mm.commutation_defect)
         worst_ann = max(worst_ann, mm.annihilation_defect)
 
-        # normal-form confluence and linearity
+        # normal-form confluence and linearity, on the reference in oracles.py
         def rand_poly():
             terms = {}
             for _ in range(5):
                 alpha = tuple(int(e) for e in rng.integers(0, 4, size=n))
                 terms[alpha] = rng.uniform(-2, 2)
-            return SparsePoly(terms, n)
+            return terms
         f, g = rand_poly(), rand_poly()
-        nf_a = normal_form(f, sys, strategy="max_degree").coeffs
-        nf_b = normal_form(f, sys, strategy="min_index").coeffs
+        nf_a = normal_form(f, sys, strategy="max_degree")
+        nf_b = normal_form(f, sys, strategy="min_index")
         scale = 1 + np.max(np.abs(nf_a))
         worst_nf = max(worst_nf, np.max(np.abs(nf_a - nf_b)) / scale)
-        lin = normal_form(f + g.scale(1.5), sys).coeffs
-        ref = normal_form(f, sys).coeffs + 1.5 * normal_form(g, sys).coeffs
+        fg = {a: f.get(a, 0.0) + 1.5 * g.get(a, 0.0) for a in f.keys() | g.keys()}
+        lin = normal_form(fg, sys)
+        ref = normal_form(f, sys) + 1.5 * normal_form(g, sys)
         worst_nf = max(worst_nf, np.max(np.abs(lin - ref)) / (1 + np.max(np.abs(ref))))
 
         sols = [s.xi for s in common_eigen_solutions(mm, seed=0).solutions]
@@ -274,11 +274,10 @@ def test_criterion_7_critical_value_matrix():
                 for n, a in ((2, 0.6), (3, 0.6), (4, 0.6), (5, 0.6), (5, 0.7))]
     for tf in systems:
         sysv = validate(tf)
-        m = build_M(sysv)
-        dq = DiagQuadSystem(m)
+        mm = build_multiplication_matrices(DiagQuadSystem(build_M(sysv)))
         rep = solve_reduction(sysv)
         eigs = np.linalg.eigvals(
-            build_critical_value_matrix(dq, criterion_weights(sysv)))
+            build_critical_value_matrix(mm, criterion_weights(sysv)))
         for cp in rep.candidates:
             gap = np.min(np.abs(eigs - cp.criterion)) / (1 + abs(cp.criterion))
             if gap > 1e-6:

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import h2reduce
 from h2reduce import InputError, h2_norm, validate
 from h2reduce.cli import (
     from_pole_residue,
@@ -193,3 +199,15 @@ class TestInputFormEquivalence:
             line.partition(" = ")[::2] for line in
             capsys.readouterr().out.strip().splitlines())["global_error"])
         assert e2 == pytest.approx(e1, rel=1e-6)
+
+
+class TestLibraryImport:
+    def test_import_leaves_cli_unloaded(self):
+        # the library must not depend on its command-line front end
+        src = str(Path(h2reduce.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, h2reduce; print('h2reduce.cli' in sys.modules, 'argparse' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.split() == ["False", "False"]

@@ -5,11 +5,14 @@ from conftest import random_stable_system
 from h2reduce import (
     CriticalPoint,
     DegenerateLeadingCoefficientError,
+    IllConditionedError,
     Polynomial,
+    Tolerances,
     TransferFunction,
     build_M,
     eval_poly,
     foc_residual,
+    generate_relaxation,
     recover_candidate,
     validate,
 )
@@ -55,6 +58,14 @@ class TestBuildM:
             m = build_M(sys)
             p = sys.conj_perm
             assert np.allclose(np.conj(m)[np.ix_(p, p)], m, atol=1e-8)
+
+    def test_ill_conditioned_vandermonde_pair_raises(self):
+        # relaxation poles alpha^(2j) crowd towards 0 as alpha shrinks; at
+        # N = 6, alpha = 0.30 the defining relation holds only to ~1.9e-6
+        with pytest.raises(IllConditionedError) as exc:
+            build_M(validate(generate_relaxation(6, 0.30)))
+        assert exc.value.residual > Tolerances().build_m_residual
+        assert exc.value.residual == pytest.approx(1.9e-6, rel=0.1)
 
 
 class TestRecoverCandidate:

@@ -65,7 +65,7 @@ class TestSelectGlobal:
             make_candidate(0.5),
             make_candidate(0.2 + 0.3j, real=False),
         ]
-        assert select_global(None, cands) is cands[1]
+        assert select_global(cands) is cands[1]
 
     def test_walk_skips_inadmissible_levels(self):
         cands = [
@@ -74,14 +74,14 @@ class TestSelectGlobal:
             make_candidate(0.20),                        # first admissible
             make_candidate(0.90),
         ]
-        assert select_global(None, cands).criterion.real == pytest.approx(0.20)
+        assert select_global(cands).criterion.real == pytest.approx(0.20)
 
     def test_increasing_order(self):
         cands = [make_candidate(0.9), make_candidate(0.3), make_candidate(0.6)]
-        assert select_global(None, cands).criterion.real == pytest.approx(0.3)
+        assert select_global(cands).criterion.real == pytest.approx(0.3)
 
     def test_empty(self):
-        assert select_global(None, [make_candidate(0.4, real=False)]) is None
+        assert select_global([make_candidate(0.4, real=False)]) is None
 
 
 class TestSolveReduction:

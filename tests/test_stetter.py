@@ -3,19 +3,20 @@ import pytest
 
 from oracles import (
     elimination_solutions_n2,
+    evaluate_poly_at_matrices,
+    generator,
     loop_dedupe,
     loop_solutions_from_vectors,
     match_solution_sets,
+    normal_form,
 )
 from h2reduce import (
     DiagQuadSystem,
-    SparsePoly,
     Tolerances,
     build_M,
     build_critical_value_matrix,
     build_multiplication_matrices,
     common_eigen_solutions,
-    evaluate_poly_at_matrices,
 )
 from h2reduce.stetter import EigenSolution, _dedupe, _solutions_from_vectors
 
@@ -35,15 +36,14 @@ class TestBuildMultiplicationMatrices:
 
     def test_columns_are_variable_products(self):
         # column beta of A_i is the normal form of x_i * (basis monomial beta)
-        from h2reduce import NormalFormElement, multiply_by_variable
         rng = np.random.default_rng(6)
         sys = random_system(rng, 3, with_mu=True)
         mm = build_multiplication_matrices(sys)
         for i in range(3):
             for beta in range(8):
-                ref = multiply_by_variable(
-                    NormalFormElement.basis_vector(beta, 3), i, sys)
-                assert np.allclose(mm.matrices[i][:, beta], ref.coeffs, atol=1e-12)
+                product = tuple(((beta >> k) & 1) + (k == i) for k in range(3))
+                ref = normal_form({product: 1.0}, sys)
+                assert np.allclose(mm.matrices[i][:, beta], ref, atol=1e-12)
 
     def test_commutation(self):
         rng = np.random.default_rng(0)
@@ -61,7 +61,7 @@ class TestBuildMultiplicationMatrices:
             assert mm.annihilation_defect <= 1e-10
             # same check through the generic evaluator
             for i in range(n):
-                g = evaluate_poly_at_matrices(sys.generator(i), mm)
+                g = evaluate_poly_at_matrices(generator(sys, i), mm)
                 assert np.linalg.norm(g) <= 1e-9 * max(
                     1.0, np.linalg.norm(mm.matrices[i]) ** 2)
 
@@ -241,8 +241,7 @@ class TestEvaluatePolyAtMatrices:
         m = rng.uniform(-2, 2, size=(2, 2))
         sys = DiagQuadSystem(m)
         mm = build_multiplication_matrices(sys)
-        f = SparsePoly({(2, 1): 1.0, (1, 0): -0.5, (0, 0): 0.3}, 2)
-        fa = evaluate_poly_at_matrices(f, mm)
+        fa = evaluate_poly_at_matrices({(2, 1): 1.0, (1, 0): -0.5, (0, 0): 0.3}, mm)
         eigs = np.linalg.eigvals(fa)
         for x in elimination_solutions_n2(m):
             fx = x[0] ** 2 * x[1] - 0.5 * x[0] + 0.3
@@ -251,16 +250,16 @@ class TestEvaluatePolyAtMatrices:
     def test_variable_count_mismatch(self):
         mm = build_multiplication_matrices(DiagQuadSystem(np.eye(2)))
         with pytest.raises(ValueError):
-            evaluate_poly_at_matrices(SparsePoly({(1,): 1.0}, 1), mm)
+            evaluate_poly_at_matrices({(1,): 1.0}, mm)
 
 
 class TestCriticalValueMatrix:
     def test_eigenvalues_are_cubic_values(self):
         rng = np.random.default_rng(25)
         m = rng.uniform(-2, 2, size=(2, 2))
-        sys = DiagQuadSystem(m)
+        mm = build_multiplication_matrices(DiagQuadSystem(m))
         w = rng.uniform(-1, 1, size=2)
-        eigs = np.linalg.eigvals(build_critical_value_matrix(sys, w))
+        eigs = np.linalg.eigvals(build_critical_value_matrix(mm, w))
         for x in elimination_solutions_n2(m):
             val = w[0] * x[0] ** 3 + w[1] * x[1] ** 3
             assert np.min(np.abs(eigs - val)) <= 1e-6 * (1 + abs(val))
