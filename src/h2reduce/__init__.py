@@ -24,7 +24,7 @@ from .errors import (
     UnstablePoleError,
     ValidationError,
 )
-from .foc import CriticalPoint, build_M, foc_residual, recover_candidate
+from .foc import CriticalPoint, build_M, recover_candidate
 from .poly import (
     Polynomial,
     derivative,
@@ -95,7 +95,6 @@ __all__ = [
     "critical_value",
     "derivative",
     "eval_poly",
-    "foc_residual",
     "from_pole_residue",
     "generate_relaxation",
     "h2_distance",

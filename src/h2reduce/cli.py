@@ -224,7 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-hurwitz", type=float, default=None,
                    help="stability margin (default %g)" % Tolerances().hurwitz)
     p.add_argument("--tol-eig", type=float, default=None,
-                   help="eigenvector residual tolerance (default %g)" % Tolerances().eig_residual)
+                   help="largest normwise residual of a root read off an "
+                        "eigenvector and Newton-polished (default %g)"
+                        % Tolerances().eig_residual)
     p.add_argument("--strip-feedthrough", action="store_true",
                    help="remove a direct feedthrough term instead of rejecting "
                         "a non-strictly-proper input")

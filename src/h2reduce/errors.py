@@ -62,7 +62,7 @@ class CommutationDefectError(NumericalError):
 
 
 class DefectiveEigenstructureError(NumericalError):
-    pass
+    """Fewer than 2^N distinct roots could be read off the eigenvectors."""
 
 
 class DegenerateLeadingCoefficientError(NumericalError):

@@ -9,7 +9,7 @@ tuple xi back to a candidate reduced model (a, b, q0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,8 +31,7 @@ class CriticalPoint:
     criterion: complex       # phi(xi); equals squared error when real admissible
     is_real: bool
     is_hurwitz: bool
-    foc_residual: float
-    ls_residual: float
+    ls_residual: float       # relative residual of b*d = e*a - q0*reflect(a)^2
     rejection: Optional[str] = None
 
     @property
@@ -95,20 +94,6 @@ def _solve_b(
     return Polynomial(b), float(res)
 
 
-def foc_residual(sys: ValidatedSystem, cp: CriticalPoint) -> float:
-    """Relative max-coefficient residual of e*a - b*d - q0*reflect(a)^2."""
-    e, d = sys.tf.numerator, sys.tf.denominator
-    ra = reflect(cp.a)
-    lhs = (e * cp.a) - (cp.b * d) - (ra * ra).scale(cp.q0)
-    scale = max(
-        np.max(np.abs((e * cp.a).coeffs)),
-        np.max(np.abs((cp.b * d).coeffs)),
-        np.max(np.abs((ra * ra).coeffs)) * abs(cp.q0),
-        1e-300,
-    )
-    return float(np.max(np.abs(lhs.coeffs)) / scale)
-
-
 def recover_candidate(
     sys: ValidatedSystem,
     xi: Sequence[complex],
@@ -151,7 +136,7 @@ def recover_candidate(
         im = np.max(np.abs(b.coeffs.imag))
         if im <= tol.real * (1.0 + np.max(np.abs(b.coeffs))):
             b = b.real()
-    cp = CriticalPoint(
+    return CriticalPoint(
         xi=xi,
         a=a,
         b=b,
@@ -159,7 +144,5 @@ def recover_candidate(
         criterion=0.0,
         is_real=real,
         is_hurwitz=hurwitz,
-        foc_residual=0.0,
         ls_residual=ls_res,
     )
-    return replace(cp, foc_residual=foc_residual(sys, cp))

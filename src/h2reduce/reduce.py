@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .errors import (
+    DefectiveEigenstructureError,
     DegenerateLeadingCoefficientError,
     NoAdmissibleSolutionError,
     NumericalError,
@@ -144,15 +145,17 @@ def solve_reduction(
     diagnostics["annihilation_defect"] = mm.annihilation_defect
 
     eig = common_eigen_solutions(mm, seed=seed, tol=tol)
-    xis = [s.xi for s in eig.solutions]
-    xis, n_zero = _drop_zero_solutions(xis, tol)
-    diagnostics["zero_solutions_removed"] = n_zero
-    diagnostics["rejected_eigenvectors"] = len(eig.rejected)
-    if len(xis) > (1 << sys.n) - 1:
-        raise NumericalError(
-            f"{len(xis)} nonzero solution tuples exceed the 2^N - 1 bound; "
-            "eigen extraction is untrustworthy"
+    # the root ledger: the optimum is certified only if all 2^N roots are
+    # accounted for as distinct, accepted tuples
+    if len(eig.solutions) != mm.dim:
+        merged = sum(s.multiplicity_hint - 1 for s in eig.solutions)
+        raise DefectiveEigenstructureError(
+            f"{len(eig.solutions)} of {mm.dim} roots found "
+            f"({len(eig.rejected)} eigenvectors rejected, {merged} merged); "
+            "a missing root could hide a lower critical value"
         )
+    xis, n_zero = _drop_zero_solutions([s.xi for s in eig.solutions], tol)
+    diagnostics["zero_solutions_removed"] = n_zero
 
     weights = criterion_weights(sys)
     candidates: List[CriticalPoint] = []

@@ -11,6 +11,12 @@ b_k is the k-th basis monomial. If x_i * b_k is itself square-free the
 column is a standard basis vector; otherwise one substitution
 x_i^2 -> m_i . x + mu_i applies, whose result is a combination of columns
 of lower popcount, so all N matrices are filled in one popcount sweep.
+
+The roots are read off the eigenvectors of T^T for a random combination
+T = sum c_i A_{X_i}: each is the evaluation vector (b_k(xi))_k of one root,
+so xi_i is its entry 2^i over its entry 0. Every one of the 2^N
+eigenvectors is accounted for, as a root or as a rejection, so a caller
+can tell when roots are missing.
 """
 
 from __future__ import annotations
@@ -20,11 +26,17 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import BasisSizeError, CommutationDefectError, DefectiveEigenstructureError
+from .errors import BasisSizeError, CommutationDefectError
 from .tolerances import Tolerances
 
 # Largest N accepted; the CLI's --cap may not exceed it either.
 N_CAP = 14
+
+# Polished roots closer than this, relative to the larger of the two, are
+# one root. Newton polishing leaves well-conditioned roots accurate to near
+# machine precision, while distinct roots of example 1 lie as close as 1.9e-6
+# relative.
+MERGE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -67,7 +79,6 @@ class MultiplicationMatrices:
 
     system: DiagQuadSystem
     matrices: np.ndarray          # shape (N, D, D)
-    frobenius_norms: np.ndarray   # shape (N,), ||A_{X_i}||_F
     commutation_defect: float
     annihilation_defect: float
 
@@ -83,7 +94,7 @@ class MultiplicationMatrices:
 @dataclass(frozen=True)
 class EigenSolution:
     xi: np.ndarray
-    eigvec_residuals: np.ndarray
+    residual: float           # normwise residual of the polished root; inf if not finite
     multiplicity_hint: int
 
 
@@ -118,7 +129,6 @@ def build_multiplication_matrices(
     # one matrix at a time: a stacked norm over (N, D, D) would allocate a
     # temporary as large as all N matrices
     fro = np.array([np.linalg.norm(mats[i]) for i in range(n)])
-    fro.setflags(write=False)
     cdef = 0.0
     for i in range(n):
         for j in range(i + 1, n):
@@ -137,60 +147,9 @@ def build_multiplication_matrices(
     return MultiplicationMatrices(
         system=sys,
         matrices=mats,
-        frobenius_norms=fro,
         commutation_defect=float(cdef),
         annihilation_defect=float(adef),
     )
-
-
-# Columns of the eigenvector matrix processed per GEMM in the read-off; a
-# block bounds the (D x block) product held at once.
-_READOFF_BLOCK = 64
-
-
-def _solutions_from_vectors(
-    mm: MultiplicationMatrices, vecs: np.ndarray, tol: Tolerances
-):
-    """Read xi off each eigenvector and split by residual acceptance.
-
-    For every column v and every i: xi_i is the Rayleigh quotient of A_i at
-    v, its residual is ||A_i v - xi_i v|| / (||A_i||_F ||v||), and the
-    quotient is cross-checked against the component ratio (A_i v)_p / v_p at
-    the dominant entry p of v. A column is rejected when any residual
-    exceeds ``tol.eig_residual`` or any quotient and ratio disagree by more
-    than ``1e3 * tol.eig_residual * max(1, |xi_i|)``.
-    """
-    n = mm.n_vars
-    mats, fro = mm.matrices, mm.frobenius_norms
-    k = vecs.shape[1]
-    xi = np.empty((n, k), dtype=complex)
-    res = np.empty((n, k))
-    ok = np.ones(k, dtype=bool)
-    for lo in range(0, k, _READOFF_BLOCK):
-        cols = slice(lo, lo + _READOFF_BLOCK)
-        v = vecs[:, cols]
-        vc = v.conj()
-        nv = np.einsum("ij,ij->j", vc, v)
-        norm_v = np.linalg.norm(v, axis=0)
-        p = np.argmax(np.abs(v), axis=0)
-        jj = np.arange(v.shape[1])
-        vp = v[p, jj]
-        for i in range(n):
-            av = mats[i] @ v
-            q = np.einsum("ij,ij->j", vc, av) / nv
-            r = np.linalg.norm(av - q * v, axis=0) / (fro[i] * norm_v)
-            ratio = av[p, jj] / vp
-            bad = (r > tol.eig_residual) | (
-                np.abs(ratio - q) > 1e3 * tol.eig_residual * np.maximum(1.0, np.abs(q))
-            )
-            xi[i, cols], res[i, cols] = q, r
-            ok[cols] &= ~bad
-    accepted, rejected = [], []
-    for j in range(k):
-        sol = EigenSolution(xi=xi[:, j].copy(), eigvec_residuals=res[:, j].copy(),
-                            multiplicity_hint=1)
-        (accepted if ok[j] else rejected).append(sol)
-    return accepted, rejected
 
 
 def _polish(xi: np.ndarray, sys: DiagQuadSystem, max_iter: int = 12) -> np.ndarray:
@@ -220,12 +179,22 @@ def _polish(xi: np.ndarray, sys: DiagQuadSystem, max_iter: int = 12) -> np.ndarr
     return best
 
 
-def _dedupe(solutions, tol: Tolerances):
+def _residual(xi: np.ndarray, sys: DiagQuadSystem, m_norm: float) -> float:
+    """Normwise residual ||xi*xi - M xi - mu||_inf of a root, relative to
+    ||xi||^2 + ||M|| ||xi|| + ||mu||: the size of the terms that cancel, so a
+    tiny root next to large ones is judged on its own scale."""
+    x_norm = np.linalg.norm(xi, np.inf)
+    scale = x_norm * x_norm + m_norm * x_norm + np.linalg.norm(sys.mu, np.inf)
+    r = np.linalg.norm(xi * xi - sys.m @ xi - sys.mu, np.inf)
+    return float(r / max(scale, 1e-300))
+
+
+def _dedupe(solutions):
     """Greedy clustering in input order.
 
     Each tuple joins the first earlier representative u with
-    ||s - u||_inf <= tol.cluster * max(||s||_inf, ||u||_inf, 1e-300), or
-    becomes a representative itself; multiplicity_hint counts the members.
+    ||s - u||_inf <= MERGE * max(||s||_inf, ||u||_inf, 1e-300), or becomes a
+    representative itself; multiplicity_hint counts the members.
     """
     if not solutions:
         return []
@@ -243,7 +212,7 @@ def _dedupe(solutions, tol: Tolerances):
         if m:
             np.abs(np.subtract(s.xi, reps[:m], out=diff[:m]), out=gap[:m])
             scale = np.maximum(np.maximum(rep_norms[:m], s_norm), 1e-300)
-            hits = np.flatnonzero(gap[:m].max(axis=1) <= tol.cluster * scale)
+            hits = np.flatnonzero(gap[:m].max(axis=1) <= MERGE * scale)
             if hits.size:
                 counts[hits[0]] += 1
                 continue
@@ -251,7 +220,7 @@ def _dedupe(solutions, tol: Tolerances):
         out.append(s)
         counts.append(1)
     return [
-        EigenSolution(s.xi, s.eigvec_residuals, multiplicity_hint=c)
+        EigenSolution(s.xi, s.residual, multiplicity_hint=c)
         for s, c in zip(out, counts)
     ]
 
@@ -263,35 +232,33 @@ def common_eigen_solutions(
 ) -> EigenSolutionSet:
     """All simultaneous eigenvalue tuples of the A_{X_i}.
 
-    One eigen-decomposition of a random real combination
-    T = sum c_i A_{X_i}; a generic combination separates the common
-    eigenvectors, avoiding the fragile step of matching eigenvectors
-    across N separate decompositions.
-
-    Retries once with a reseeded combination before declaring the
-    eigenstructure defective.
+    One eigen-decomposition of T^T, where T = sum c_i A_{X_i} is a random
+    real combination. A_{X_i}^T u = xi_i u holds for the evaluation vector
+    u = (b_k(xi))_k of every root xi, and a generic combination separates
+    the roots, so every eigenvector of T^T is an evaluation vector and
+    xi_i = u[2^i] / u[0]. Each tuple is Newton-polished; it is rejected when
+    it is not finite or its normwise residual (``_residual``) exceeds
+    ``tol.eig_residual``. Accepted tuples closer than ``MERGE`` are merged.
+    Every one of the 2^N eigenvectors ends up in ``solutions`` (counted by
+    multiplicity_hint) or in ``rejected``.
     """
     tol = tol or Tolerances()
-    for attempt in range(2):
-        rng = np.random.default_rng(seed + attempt)
-        c = rng.standard_normal(mm.n_vars)
-        t = np.tensordot(c, mm.matrices, axes=1)
-        _, vecs = np.linalg.eig(t)
-        accepted, rejected = _solutions_from_vectors(mm, vecs, tol)
-        if accepted:
-            accepted = [
-                EigenSolution(
-                    xi=_polish(s.xi, mm.system),
-                    eigvec_residuals=s.eigvec_residuals,
-                    multiplicity_hint=s.multiplicity_hint,
-                )
-                for s in accepted
-            ]
-            return EigenSolutionSet(solutions=_dedupe(accepted, tol), rejected=rejected)
-    raise DefectiveEigenstructureError(
-        "defective eigenstructure suspected: no eigenvector passed the "
-        "per-matrix residual checks after a reseeded retry"
-    )
+    sys = mm.system
+    c = np.random.default_rng(seed).standard_normal(mm.n_vars)
+    t = np.tensordot(c, mm.matrices, axes=1)
+    _, vecs = np.linalg.eig(t.T)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xis = vecs[1 << np.arange(mm.n_vars)] / vecs[0]
+    m_norm = np.linalg.norm(sys.m, np.inf)
+    accepted, rejected = [], []
+    for xi in xis.T:
+        if not np.all(np.isfinite(xi)):
+            rejected.append(EigenSolution(xi, float("inf"), multiplicity_hint=1))
+            continue
+        xi = _polish(xi, sys)
+        sol = EigenSolution(xi, _residual(xi, sys, m_norm), multiplicity_hint=1)
+        (accepted if sol.residual <= tol.eig_residual else rejected).append(sol)
+    return EigenSolutionSet(solutions=_dedupe(accepted), rejected=rejected)
 
 
 def build_critical_value_matrix(

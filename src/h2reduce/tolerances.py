@@ -23,8 +23,7 @@ class Tolerances:
     q0: float = 1e-10                 # |leading atilde coeff| / ||atilde||
     real: float = 1e-6                # max |Im coeff| / (1 + max |coeff|)
     # eigen layer
-    eig_residual: float = 1e-7        # ||A_i v - xi_i v|| / ||A_i||_F
-    cluster: float = 1e-5             # dedup: ||xi - u|| / max(||xi||, ||u||)
+    eig_residual: float = 1e-7        # normwise root residual, stetter._residual
     zero_solution: float = 1e-9       # ||xi|| / (1 + max ||xi|| over solutions)
     commutation: float = 1e-10        # pairwise commutator, relative Frobenius
     # selection layer

@@ -3,12 +3,13 @@
 Nothing here reuses pipeline internals: the norm oracle integrates the
 frequency response, the small-N solution oracles eliminate variables by
 hand / lex Groebner bases, the global-minimum oracle is a multi-start
-simplex search over the raw approximant parameters, and the normal-form
-reference rewrites polynomials term by term instead of filling matrix
-columns. The exception is the pair of eigen-layer loops at the end, the
-one-vector-at-a-time reference implementations the array kernels in
-``h2reduce.stetter`` must agree with; they use the library's result types
-only.
+simplex search over the raw approximant parameters, the first-order
+residual multiplies out the defining polynomial identity (with the
+library's polynomial arithmetic only), and the normal-form reference
+rewrites polynomials term by term instead of filling matrix columns. The
+exception is the dedupe loop at the end, the one-tuple-at-a-time reference
+the array dedupe in ``h2reduce.stetter`` must agree with; it uses the
+library's result type only.
 
 Polynomials in N variables are plain dicts {multi-index: coefficient}; a
 multi-index is a length-N tuple of exponents.
@@ -24,6 +25,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import minimize
 
+from h2reduce.poly import reflect
 from h2reduce.stetter import EigenSolution
 
 
@@ -51,15 +53,38 @@ def quad_h2_norm(num, den) -> float:
     return float(np.sqrt((total + tail) / np.pi))
 
 
-def residue_distance_sq(num1, den1, num2, den2) -> float:
-    """||H1 - H2||_2^2 through the merged residue pairing (distinct poles)."""
-    p1, p2 = np.roots(den1), np.roots(den2)
-    r1 = np.array([np.polyval(num1, p) / np.polyval(np.polyder(den1), p) for p in p1])
-    r2 = np.array([np.polyval(num2, p) / np.polyval(np.polyder(den2), p) for p in p2])
+def _residues(num, den, poles) -> np.ndarray:
+    """Residues of num/den at its simple poles."""
+    dden = np.polyder(den)
+    return np.array([np.polyval(num, p) / np.polyval(dden, p) for p in poles])
+
+
+def _paired_distance_sq(p1, r1, p2, r2) -> float:
     poles = np.concatenate([p1, p2])
     res = np.concatenate([r1, -r2])
     denom = -(poles[:, None] + poles[None, :])
     return float(np.real(res @ (res / denom).sum(axis=1)))
+
+
+def residue_distance_sq(num1, den1, num2, den2) -> float:
+    """||H1 - H2||_2^2 through the merged residue pairing (distinct poles)."""
+    p1, p2 = np.roots(den1), np.roots(den2)
+    return _paired_distance_sq(p1, _residues(num1, den1, p1), p2, _residues(num2, den2, p2))
+
+
+def foc_residual(sys, cp) -> float:
+    """Relative max-coefficient residual of e*a - b*d - q0*reflect(a)^2 at a
+    recovered candidate; it vanishes at every critical point."""
+    e, d = sys.tf.numerator, sys.tf.denominator
+    ra = reflect(cp.a)
+    lhs = (e * cp.a) - (cp.b * d) - (ra * ra).scale(cp.q0)
+    scale = max(
+        np.max(np.abs((e * cp.a).coeffs)),
+        np.max(np.abs((cp.b * d).coeffs)),
+        np.max(np.abs((ra * ra).coeffs)) * abs(cp.q0),
+        1e-300,
+    )
+    return float(np.max(np.abs(lhs.coeffs)) / scale)
 
 
 def _newton_polish(m: np.ndarray, x: np.ndarray, iters: int = 10) -> np.ndarray:
@@ -243,7 +268,10 @@ def multistart_global_minimum(num, den, order, rng, n_starts=24) -> float:
     else:
         raise ValueError("oracle supports order 1 and 2 only")
 
+    # the system's poles and residues are fixed; each evaluation finds the
+    # approximant's poles once and pairs them as residue_distance_sq does
     sys_poles = np.roots(den)
+    sys_res = _residues(num, den, sys_poles)
 
     def objective(z):
         b, a = unpack(z)
@@ -251,7 +279,7 @@ def multistart_global_minimum(num, den, order, rng, n_starts=24) -> float:
         gap = np.min(np.abs(sys_poles[:, None] - a_poles[None, :]))
         if gap < 1e-9 or (order == 2 and abs(a_poles[0] - a_poles[1]) < 1e-12):
             return 1e6
-        return residue_distance_sq(num, den, b, a)
+        return _paired_distance_sq(sys_poles, sys_res, a_poles, _residues(b, a, a_poles))
 
     best = np.inf
     for _ in range(n_starts):
@@ -280,38 +308,8 @@ def match_solution_sets(a: List[np.ndarray], b: List[np.ndarray], tol: float) ->
     return True
 
 
-def loop_solutions_from_vectors(mm, vecs: np.ndarray, tol):
-    """Read xi off each eigenvector and split by residual acceptance."""
-    n, dim = mm.n_vars, mm.dim
-    mats = mm.matrices
-    fro = np.array([np.linalg.norm(mats[i]) for i in range(n)])
-    accepted, rejected = [], []
-    for k in range(vecs.shape[1]):
-        v = vecs[:, k]
-        nv = v.conj() @ v
-        xi = np.empty(n, dtype=complex)
-        res = np.empty(n)
-        ok = True
-        for i in range(n):
-            av = mats[i] @ v
-            xi[i] = (v.conj() @ av) / nv
-            # cross-check the Rayleigh quotient by the component ratio at
-            # the dominant entry of v
-            p = int(np.argmax(np.abs(v)))
-            ratio = av[p] / v[p]
-            res[i] = np.linalg.norm(av - xi[i] * v) / (fro[i] * np.linalg.norm(v))
-            if res[i] > tol.eig_residual:
-                ok = False
-            elif abs(ratio - xi[i]) > 1e3 * tol.eig_residual * max(1.0, abs(xi[i])):
-                # Rayleigh quotient and component ratio disagree: treat as
-                # suspect even though the residual looks fine
-                ok = False
-        sol = EigenSolution(xi=xi, eigvec_residuals=res, multiplicity_hint=1)
-        (accepted if ok else rejected).append(sol)
-    return accepted, rejected
-
-
-def loop_dedupe(solutions, tol):
+def loop_dedupe(solutions, merge: float):
+    """Greedy clustering of root tuples, one pairwise comparison at a time."""
     out: List[EigenSolution] = []
     counts: List[int] = []
     for s in solutions:
@@ -320,7 +318,7 @@ def loop_dedupe(solutions, tol):
             scale = max(
                 np.linalg.norm(s.xi, np.inf), np.linalg.norm(u.xi, np.inf), 1e-300
             )
-            if np.linalg.norm(s.xi - u.xi, np.inf) <= tol.cluster * scale:
+            if np.linalg.norm(s.xi - u.xi, np.inf) <= merge * scale:
                 counts[idx] += 1
                 placed = True
                 break
@@ -328,6 +326,6 @@ def loop_dedupe(solutions, tol):
             out.append(s)
             counts.append(1)
     return [
-        EigenSolution(s.xi, s.eigvec_residuals, multiplicity_hint=c)
+        EigenSolution(s.xi, s.residual, multiplicity_hint=c)
         for s, c in zip(out, counts)
     ]

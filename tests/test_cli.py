@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 import h2reduce
-from h2reduce import InputError, h2_norm, validate
+from h2reduce import InputError, Tolerances, h2_norm, validate
 from h2reduce.cli import (
     from_pole_residue,
     generate_relaxation,
     main,
     parse_system_file,
 )
+from oracles import residue_distance_sq
 
 
 class TestGenerateRelaxation:
@@ -167,6 +168,20 @@ class TestStructuredOutput:
         assert num == list(rep.global_candidate.b.coeffs)
         assert den == list(rep.global_candidate.a.coeffs)
         assert float(fields["global_error"]) == rep.global_error
+
+    def test_near_exact_optimum_matches_distance(self, capsys):
+        # phi ~ 1.3e-6: an approximant recovered from an inaccurate root once
+        # reported phi 1.57e-6 below its own squared H2 distance
+        argv = ["--relaxation", "N=6", "alpha=0.50", "--method", "cvm",
+                "--seed", "12", "--output", "structured"]
+        assert main(argv) == 0
+        fields = self.parse(capsys.readouterr().out)
+        num = [float(t) for t in fields["global_numerator"].split()]
+        den = [float(t) for t in fields["global_denominator"].split()]
+        phi = float(fields["global_error"]) ** 2
+        tf = generate_relaxation(6, 0.50)
+        dist_sq = residue_distance_sq(tf.numerator.coeffs, tf.denominator.coeffs, num, den)
+        assert abs(phi - dist_sq) <= Tolerances().cross_check * (1.0 + phi)
 
     def test_self_describing(self, tmp_path, capsys):
         path = write_system(tmp_path, "ok.txt", [1, 3], [1, 3, 2])

@@ -5,6 +5,7 @@ from conftest import random_real_pole_system, random_stable_system
 from h2reduce import (
     CriticalPoint,
     NoAdmissibleSolutionError,
+    NumericalError,
     Polynomial,
     Tolerances,
     TransferFunction,
@@ -27,7 +28,6 @@ def make_candidate(phi, real=True, hurwitz=True):
         criterion=complex(phi),
         is_real=real,
         is_hurwitz=hurwitz,
-        foc_residual=0.0,
         ls_residual=0.0,
     )
 
@@ -92,6 +92,20 @@ class TestSolveReduction:
             rep = solve_reduction(sys)
             assert all(rep.global_error <= cp.error + 1e-12 for cp in rep.admissible)
             assert rep.global_candidate.is_admissible
+
+    def test_lost_roots_fail_loudly(self):
+        # the read-off merges or rejects a few of this system's 64 roots at
+        # every eigen seed tried; a solve that goes on without them may miss
+        # the optimum phi = 7.9009e-8, so it must end in a numerical error
+        # (exit 4), never in "no admissible point" or a higher phi
+        sys = validate(random_real_pole_system(
+            np.random.default_rng(7), 6, lo=-6, hi=-0.5))
+        for seed in range(6):
+            try:
+                rep = solve_reduction(sys, seed=seed)
+            except NumericalError:
+                continue
+            assert rep.global_candidate.criterion.real == pytest.approx(7.9009e-8, rel=1e-3)
 
     def test_count_bound(self):
         rng = np.random.default_rng(16)

@@ -6,19 +6,17 @@ from oracles import (
     evaluate_poly_at_matrices,
     generator,
     loop_dedupe,
-    loop_solutions_from_vectors,
     match_solution_sets,
     normal_form,
 )
 from h2reduce import (
     DiagQuadSystem,
-    Tolerances,
     build_M,
     build_critical_value_matrix,
     build_multiplication_matrices,
     common_eigen_solutions,
 )
-from h2reduce.stetter import EigenSolution, _dedupe, _solutions_from_vectors
+from h2reduce.stetter import MERGE, EigenSolution, _dedupe
 
 
 def random_system(rng, n, with_mu=False):
@@ -129,70 +127,51 @@ class TestCommonEigenSolutions:
             assert np.array_equal(x.xi, y.xi)
 
 
-def _eigenvectors(mm, seed=0):
-    c = np.random.default_rng(seed).standard_normal(mm.n_vars)
-    return np.linalg.eig(np.tensordot(c, mm.matrices, axes=1))[1]
-
-
 @pytest.fixture(scope="module")
 def example1_matrices(example1_system):
     return build_multiplication_matrices(DiagQuadSystem(build_M(example1_system)))
 
 
 class TestEigenKernelsAgainstLoops:
-    """The array read-off and dedupe make the same decisions as the
-    one-vector-at-a-time loops in oracles.py."""
+    """The read-off against the normal-form oracle, and the array dedupe
+    against the one-tuple-at-a-time loop in oracles.py."""
 
     @staticmethod
-    def assert_same_readoff(mm, vecs):
-        tol = Tolerances()
-        got = _solutions_from_vectors(mm, vecs, tol)
-        ref = loop_solutions_from_vectors(mm, vecs, tol)
-        # both lists keep column order and the columns have distinct xi, so
-        # equal lengths plus positionwise agreement pin the same index sets
-        for g_list, r_list in zip(got, ref):
-            assert len(g_list) == len(r_list)
-            for g, r in zip(g_list, r_list):
-                scale = max(np.max(np.abs(r.xi)), 1.0)
-                assert np.max(np.abs(g.xi - r.xi)) <= 1e-12 * scale
-                # residuals are already relative to ||A_i||_F ||v||
-                assert np.max(np.abs(g.eigvec_residuals - r.eigvec_residuals)) <= 1e-12
-        return len(ref[0]), len(ref[1])
+    def assert_roots_of_quotient(sys, xis):
+        """At a root xi, the normal form of x_i * b_beta evaluates to
+        xi_i * b_beta(xi) for every i and every basis monomial b_beta."""
+        n, dim = sys.n_vars, sys.dim
+        bits = (np.arange(dim)[:, None] >> np.arange(n)) & 1
+        xis = np.array(xis)
+        basis = np.prod(np.where(bits == 1, xis[:, None, :], 1.0), axis=2)
+        for i in range(n):
+            nf = np.array([
+                normal_form({tuple(int(e) + (k == i) for k, e in enumerate(bits[b])): 1.0}, sys)
+                for b in range(dim)])
+            want = xis[:, i:i + 1] * basis
+            scale = np.abs(basis) @ np.abs(nf).T + np.abs(want)
+            err = np.abs(basis @ nf.T - want) / np.maximum(scale, 1e-300)
+            assert np.max(err) <= 1e-10
 
     def test_readoff_example1(self, example1_matrices):
-        vecs = _eigenvectors(example1_matrices)
-        self.assert_same_readoff(example1_matrices, vecs)
-        # graded perturbations push part of the columns over the
-        # quotient-versus-ratio test, which dominates at ||A_i||_F ~ 1e23
-        rng = np.random.default_rng(1)
-        noise = rng.standard_normal(vecs.shape) + 1j * rng.standard_normal(vecs.shape)
-        n_acc, n_rej = self.assert_same_readoff(
-            example1_matrices, vecs + noise * np.logspace(-30, -14, vecs.shape[1]))
-        assert n_acc > 0 and n_rej > 0
+        eig = common_eigen_solutions(example1_matrices)
+        # all 2^9 roots, each accepted and none merged with another
+        assert len(eig.solutions) == 512 and not eig.rejected
+        assert all(s.multiplicity_hint == 1 for s in eig.solutions)
+        self.assert_roots_of_quotient(
+            example1_matrices.system, [s.xi for s in eig.solutions])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_readoff_random(self, n):
         rng = np.random.default_rng(40 + n)
-        mm = build_multiplication_matrices(random_system(rng, n, with_mu=True))
-        vecs = _eigenvectors(mm)
-        self.assert_same_readoff(mm, vecs)
-        # graded perturbations trip the residual test on part of the columns
-        noise = rng.standard_normal(vecs.shape) + 1j * rng.standard_normal(vecs.shape)
-        n_acc, n_rej = self.assert_same_readoff(
-            mm, vecs + noise * np.logspace(-12, -3, vecs.shape[1]))
-        assert n_acc > 0 and n_rej > 0
-
-    def test_frobenius_norms(self):
-        rng = np.random.default_rng(8)
-        for n in range(1, 6):
-            mm = build_multiplication_matrices(random_system(rng, n, with_mu=True))
-            assert mm.frobenius_norms.shape == (n,)
-            for i in range(n):
-                assert mm.frobenius_norms[i] == np.linalg.norm(mm.matrices[i])
+        sys = random_system(rng, n, with_mu=True)
+        eig = common_eigen_solutions(build_multiplication_matrices(sys))
+        assert len(eig.solutions) == 1 << n and not eig.rejected
+        self.assert_roots_of_quotient(sys, [s.xi for s in eig.solutions])
 
     @staticmethod
     def dedupe_cases():
-        cl = Tolerances().cluster
+        cl = MERGE
         a = np.array([1.0, 0.5j])
         c = np.array([2.0, -1.0 + 1.0j])          # ||c||_inf = 2
         step = np.array([0.75 * cl * 2.0, 0.0])   # c ~ c+step ~ c+2 step, c !~ c+2 step
@@ -200,30 +179,28 @@ class TestEigenKernelsAgainstLoops:
             a, a.copy(),                           # exact duplicate
             a + [0.0, 0.9 * cl],                   # just inside
             a + [0.0, 1.1 * cl],                   # just outside
-            a + [1.000005 * cl, 0.0],              # inside only by its own norm
             c, c + step, c + 2 * step,             # chain: greedy order decides
             np.zeros(2), np.zeros(2),              # the zero tuple
             np.array([-3.0, 4.0j]),
         ]
-        return [EigenSolution(xi=x, eigvec_residuals=np.full(2, 1e-16 * k),
-                              multiplicity_hint=1) for k, x in enumerate(xis)]
+        return [EigenSolution(xi=x, residual=1e-16 * k, multiplicity_hint=1)
+                for k, x in enumerate(xis)]
 
     @staticmethod
     def assert_same_dedupe(sols):
-        tol = Tolerances()
-        got, ref = _dedupe(sols, tol), loop_dedupe(sols, tol)
+        got, ref = _dedupe(sols), loop_dedupe(sols, MERGE)
         assert [s.multiplicity_hint for s in got] == [s.multiplicity_hint for s in ref]
         for g, r in zip(got, ref):
-            assert g.xi is r.xi and g.eigvec_residuals is r.eigvec_residuals
+            assert g.xi is r.xi and g.residual == r.residual
         return got
 
     def test_dedupe_synthetic(self):
         sols = self.dedupe_cases()
         assert [s.multiplicity_hint for s in self.assert_same_dedupe(sols)] == [
-            4, 1, 2, 1, 2, 1]
+            3, 1, 2, 1, 2, 1]
         # starting the chain from its middle merges all three; the middle
         # after both ends joins the first end
-        for order, hints in (([6, 5, 7], [3]), ([5, 7, 6], [2, 1])):
+        for order, hints in (([5, 4, 6], [3]), ([4, 6, 5], [2, 1])):
             got = self.assert_same_dedupe([sols[k] for k in order])
             assert [s.multiplicity_hint for s in got] == hints
         rng = np.random.default_rng(2)
@@ -231,7 +208,7 @@ class TestEigenKernelsAgainstLoops:
             self.assert_same_dedupe([sols[k] for k in rng.permutation(len(sols))])
 
     def test_dedupe_empty(self):
-        assert _dedupe([], Tolerances()) == loop_dedupe([], Tolerances()) == []
+        assert _dedupe([]) == loop_dedupe([], MERGE) == []
 
 
 class TestEvaluatePolyAtMatrices:
