@@ -143,10 +143,9 @@ def _text_report(report: ReductionReport) -> str:
     d = report.diagnostics
     lines.append("")
     lines.append(
-        "diagnostics: seed=%s method=%s commutation_defect=%.2e "
-        "zero_solutions_removed=%s elapsed=%.2fs"
+        "diagnostics: seed=%s method=%s commutation_defect=%.2e elapsed=%.2fs"
         % (d.get("seed"), d.get("method"), d.get("commutation_defect", 0.0),
-           d.get("zero_solutions_removed"), d.get("elapsed_s", 0.0))
+           d.get("elapsed_s", 0.0))
     )
     return "\n".join(lines)
 
@@ -275,7 +274,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     except NoAdmissibleSolutionError as exc:
         print(f"error (no admissible critical point): {exc}", file=sys.stderr)
-        for key in ("n_candidates", "rejections", "zero_solutions_removed"):
+        for key in ("n_candidates", "rejections"):
             if key in exc.diagnostics:
                 print(f"  {key}: {exc.diagnostics[key]}", file=sys.stderr)
         return 2

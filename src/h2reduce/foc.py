@@ -19,6 +19,8 @@ from .poly import Polynomial, is_hurwitz, reflect
 from .tf import ValidatedSystem
 from .tolerances import Tolerances
 
+LS_REJECT = 1e-6  # admissibility floor for the numerator least-squares fit
+
 
 @dataclass(frozen=True)
 class CriticalPoint:
@@ -32,11 +34,22 @@ class CriticalPoint:
     is_real: bool
     is_hurwitz: bool
     ls_residual: float       # relative residual of b*d = e*a - q0*reflect(a)^2
-    rejection: Optional[str] = None
+
+    @property
+    def rejection(self) -> Optional[str]:
+        """Why the candidate is not admissible: "complex", "non-hurwitz" or
+        "high-residual"; None for a real, stable, exactly fitted candidate."""
+        if not self.is_real:
+            return "complex"
+        if not self.is_hurwitz:
+            return "non-hurwitz"
+        if self.ls_residual > LS_REJECT:
+            return "high-residual"
+        return None
 
     @property
     def is_admissible(self) -> bool:
-        return self.is_real and self.is_hurwitz
+        return self.rejection is None
 
     @property
     def error(self) -> float:
@@ -120,6 +133,8 @@ def recover_candidate(
             "numerically zero; candidate cannot be normalized to monic form"
         )
     a_desc = (at / q0)[::-1]
+    # numpy divides by multiplying with 1/q0, which can leave 1 - eps here
+    a_desc[0] = 1.0
     scale = 1.0 + np.max(np.abs(a_desc))
     real = bool(np.max(np.abs(a_desc.imag)) <= tol.real * scale
                 and abs(q0.imag) <= tol.real * (1.0 + abs(q0)))

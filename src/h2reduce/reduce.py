@@ -1,11 +1,11 @@
 """End-to-end reduction-by-one pipeline and global selection.
 
 Pipeline: coupling matrix M -> diagonal-quadratic system (mu = 0) ->
-multiplication matrices -> simultaneous eigenvalue tuples -> drop the
-always-present zero solution -> recover a candidate model per tuple ->
-criterion values -> walk the distinct real positive values in increasing
-order and return the first real Hurwitz candidate, which is the global
-optimum.
+multiplication matrices -> simultaneous eigenvalue tuples -> the root
+ledger (all 2^N roots distinct, exactly one of them the zero root) ->
+recover a candidate model per nonzero tuple -> criterion values -> the
+admissible candidate with the least real positive value, which is the
+global optimum.
 """
 
 from __future__ import annotations
@@ -31,9 +31,6 @@ from .stetter import (
 )
 from .tf import TransferFunction, ValidatedSystem, h2_distance, h2_norm
 from .tolerances import Tolerances
-
-LS_REJECT = 1e-6  # admissibility floor for the numerator least-squares fit
-
 
 def criterion_weights(sys: ValidatedSystem) -> np.ndarray:
     """w_i = 1 / (e(delta_i) d'(delta_i) d(-delta_i))."""
@@ -67,26 +64,16 @@ class ReductionReport:
         return TransferFunction(self.global_candidate.b, self.global_candidate.a)
 
 
-def _drop_zero_solutions(xis: List[np.ndarray], tol: Tolerances):
-    """Remove the always-present all-zero tuple.
-
-    The threshold is relative to the largest solution actually found, not to
-    ||M||: huge M entries would otherwise swallow genuine small solutions.
-    """
-    if not xis:
-        return [], 0
-    biggest = max(np.linalg.norm(x, np.inf) for x in xis)
-    kept = [x for x in xis if np.linalg.norm(x, np.inf) > tol.zero_solution * (1.0 + biggest)]
-    return kept, len(xis) - len(kept)
+def _is_real_positive(v: complex, tol: Tolerances) -> bool:
+    return abs(v.imag) <= tol.value_real * (1.0 + abs(v)) and v.real > 0
 
 
 def _critical_levels(candidates: Sequence[CriticalPoint], tol: Tolerances) -> List[float]:
     """Distinct real positive criterion values, in increasing order."""
     levels: List[float] = []
     for cp in candidates:
-        v = cp.criterion
-        if abs(v.imag) <= tol.value_real * (1.0 + abs(v)) and v.real > 0:
-            m = v.real
+        if _is_real_positive(cp.criterion, tol):
+            m = cp.criterion.real
             if not any(abs(m - u) <= tol.value_cluster * max(m, u) for u in levels):
                 levels.append(m)
     levels.sort()
@@ -97,25 +84,17 @@ def select_global(
     candidates: Sequence[CriticalPoint],
     tol: Optional[Tolerances] = None,
 ) -> Optional[CriticalPoint]:
-    """First real admissible candidate along the sorted real positive values.
+    """The admissible candidate with the least real positive criterion value.
 
-    Every distinct real positive criterion value defines a level; levels are
-    visited in increasing order and the walk stops at the first one holding a
-    real Hurwitz candidate. Non-real or non-Hurwitz hits at lower levels are
-    skipped: a real non-Hurwitz critical point always sits strictly above the
-    global minimum, so skipping cannot overshoot it.
+    Admissible candidates are real, stable critical points, where phi is the
+    squared H2 error, so the least of their values is the global minimum.
     """
     tol = tol or Tolerances()
-    for m in _critical_levels(candidates, tol):
-        hits = [
-            cp for cp in candidates
-            if abs(cp.criterion.imag) <= tol.value_real * (1.0 + abs(cp.criterion))
-            and abs(cp.criterion.real - m) <= tol.value_cluster * max(m, cp.criterion.real)
-        ]
-        for cp in hits:
-            if cp.is_admissible and cp.rejection is None:
-                return cp
-    return None
+    return min(
+        (cp for cp in candidates if cp.is_admissible and _is_real_positive(cp.criterion, tol)),
+        key=lambda cp: cp.criterion.real,
+        default=None,
+    )
 
 
 def solve_reduction(
@@ -142,39 +121,34 @@ def solve_reduction(
     m = build_M(sys, tol)
     mm = build_multiplication_matrices(DiagQuadSystem(m), tol)
     diagnostics["commutation_defect"] = mm.commutation_defect
-    diagnostics["annihilation_defect"] = mm.annihilation_defect
 
     eig = common_eigen_solutions(mm, seed=seed, tol=tol)
     # the root ledger: the optimum is certified only if all 2^N roots are
-    # accounted for as distinct, accepted tuples
-    if len(eig.solutions) != mm.dim:
+    # accounted for as distinct, accepted tuples, and mu = 0 makes xi = 0 a
+    # simple root, so exactly one of them may lie at zero; a second tuple
+    # there is a copy of it standing in for a root never found
+    xis = [s.xi for s in eig.solutions]
+    sizes = np.array([np.linalg.norm(x, np.inf) for x in xis])
+    at_zero = sizes <= tol.zero_solution * (1.0 + sizes.max(initial=0.0))
+    if len(xis) != mm.dim or np.count_nonzero(at_zero) != 1:
         merged = sum(s.multiplicity_hint - 1 for s in eig.solutions)
         raise DefectiveEigenstructureError(
-            f"{len(eig.solutions)} of {mm.dim} roots found "
-            f"({len(eig.rejected)} eigenvectors rejected, {merged} merged); "
+            f"{len(xis)} of {mm.dim} roots found "
+            f"({len(eig.rejected)} eigenvectors rejected, {merged} merged), "
+            f"{np.count_nonzero(at_zero)} of them at the simple root xi = 0; "
             "a missing root could hide a lower critical value"
         )
-    xis, n_zero = _drop_zero_solutions([s.xi for s in eig.solutions], tol)
-    diagnostics["zero_solutions_removed"] = n_zero
 
     weights = criterion_weights(sys)
     candidates: List[CriticalPoint] = []
     degenerate_q0 = 0
-    for xi in xis:
+    for xi in (x for x, z in zip(xis, at_zero) if not z):
         try:
             cp = recover_candidate(sys, xi, tol)
         except DegenerateLeadingCoefficientError:
             degenerate_q0 += 1
             continue
-        phi = complex(np.sum(xi**3 * weights))
-        rejection = None
-        if not cp.is_real:
-            rejection = "complex"
-        elif not cp.is_hurwitz:
-            rejection = "non-hurwitz"
-        elif cp.ls_residual > LS_REJECT:
-            rejection = "high-residual"
-        candidates.append(replace(cp, criterion=phi, rejection=rejection))
+        candidates.append(replace(cp, criterion=complex(np.sum(xi**3 * weights))))
     diagnostics["degenerate_q0_rejections"] = degenerate_q0
 
     if method == "cvm":
@@ -194,7 +168,7 @@ def solve_reduction(
             matched.append(replace(cp, criterion=complex(vals[k])))
         candidates = matched
 
-    admissible = [cp for cp in candidates if cp.is_admissible and cp.rejection is None]
+    admissible = [cp for cp in candidates if cp.is_admissible]
     norm = h2_norm(sys)
 
     best = select_global(candidates, tol)

@@ -9,8 +9,9 @@ variable x_i (0-based); index 0 is the constant monomial.
 Column k of A_{X_i} holds the square-free normal form of x_i * b_k, where
 b_k is the k-th basis monomial. If x_i * b_k is itself square-free the
 column is a standard basis vector; otherwise one substitution
-x_i^2 -> m_i . x + mu_i applies, whose result is a combination of columns
-of lower popcount, so all N matrices are filled in one popcount sweep.
+x_i^2 -> m_i . x + mu_i applies, whose result is a combination of the
+columns b_k / x_i of smaller index, so all N matrices are filled in one
+sweep in index order.
 
 The roots are read off the eigenvectors of T^T for a random combination
 T = sum c_i A_{X_i}: each is the evaluation vector (b_k(xi))_k of one root,
@@ -80,7 +81,6 @@ class MultiplicationMatrices:
     system: DiagQuadSystem
     matrices: np.ndarray          # shape (N, D, D)
     commutation_defect: float
-    annihilation_defect: float
 
     @property
     def n_vars(self) -> int:
@@ -107,12 +107,11 @@ class EigenSolutionSet:
 def build_multiplication_matrices(
     sys: DiagQuadSystem, tol: Optional[Tolerances] = None
 ) -> MultiplicationMatrices:
-    """Construct all A_{X_i} and verify commutation and annihilation."""
+    """Construct all A_{X_i} and verify that they commute."""
     tol = tol or Tolerances()
     n, dim = sys.n_vars, sys.dim
     mats = np.zeros((n, dim, dim), dtype=complex)
-    order = sorted(range(dim), key=lambda b: bin(b).count("1"))
-    for beta in order:
+    for beta in range(dim):
         for i in range(n):
             bit = 1 << i
             if not beta & bit:
@@ -134,11 +133,6 @@ def build_multiplication_matrices(
         for j in range(i + 1, n):
             c = np.linalg.norm(mats[i] @ mats[j] - mats[j] @ mats[i])
             cdef = max(cdef, c / (fro[i] * fro[j]))
-    adef = 0.0
-    eye = np.eye(dim)
-    for i in range(n):
-        g = mats[i] @ mats[i] - np.tensordot(sys.m[i], mats, axes=1) - sys.mu[i] * eye
-        adef = max(adef, np.linalg.norm(g) / max(fro[i] ** 2, 1.0))
     if cdef > tol.commutation:
         raise CommutationDefectError(
             f"commutation defect {cdef:.3e} exceeds tolerance {tol.commutation:.1e}"
@@ -148,7 +142,6 @@ def build_multiplication_matrices(
         system=sys,
         matrices=mats,
         commutation_defect=float(cdef),
-        annihilation_defect=float(adef),
     )
 
 

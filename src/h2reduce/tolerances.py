@@ -24,7 +24,7 @@ class Tolerances:
     real: float = 1e-6                # max |Im coeff| / (1 + max |coeff|)
     # eigen layer
     eig_residual: float = 1e-7        # normwise root residual, stetter._residual
-    zero_solution: float = 1e-9       # ||xi|| / (1 + max ||xi|| over solutions)
+    zero_solution: float = 1e-9       # the one zero root: ||xi|| / (1 + max ||xi||)
     commutation: float = 1e-10        # pairwise commutator, relative Frobenius
     # selection layer
     value_real: float = 1e-6          # |Im phi| / (1 + |phi|)

@@ -6,10 +6,11 @@ hand / lex Groebner bases, the global-minimum oracle is a multi-start
 simplex search over the raw approximant parameters, the first-order
 residual multiplies out the defining polynomial identity (with the
 library's polynomial arithmetic only), and the normal-form reference
-rewrites polynomials term by term instead of filling matrix columns. The
-exception is the dedupe loop at the end, the one-tuple-at-a-time reference
-the array dedupe in ``h2reduce.stetter`` must agree with; it uses the
-library's result type only.
+rewrites polynomials term by term instead of filling matrix columns; the
+annihilation defect multiplies the matrices out against the generators
+they must satisfy. The exception is the dedupe loop at the end, the
+one-tuple-at-a-time reference the array dedupe in ``h2reduce.stetter``
+must agree with; it uses the library's result type only.
 
 Polynomials in N variables are plain dicts {multi-index: coefficient}; a
 multi-index is a length-N tuple of exponents.
@@ -227,6 +228,19 @@ def normal_form(f: Dict[MultiIndex, complex], sys, strategy: str = "max_degree")
                 add(tuple(e + 1 if k == j else e for k, e in enumerate(cofactor)),
                     c * sys.m[i, j])
     return out
+
+
+def annihilation_defect(mm) -> float:
+    """Largest ||A_i^2 - sum_j m_ij A_j - mu_i I||_F / max(||A_i||_F^2, 1):
+    how far the multiplication matrices are from satisfying the generators
+    x_i^2 - m_i . x - mu_i of the system they were built for."""
+    sys, mats = mm.system, mm.matrices
+    eye = np.eye(mm.dim)
+    worst = 0.0
+    for i in range(mm.n_vars):
+        g = mats[i] @ mats[i] - np.tensordot(sys.m[i], mats, axes=1) - sys.mu[i] * eye
+        worst = max(worst, np.linalg.norm(g) / max(np.linalg.norm(mats[i]) ** 2, 1.0))
+    return float(worst)
 
 
 def evaluate_poly_at_matrices(f: Dict[MultiIndex, complex], mm) -> np.ndarray:

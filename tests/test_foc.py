@@ -95,6 +95,14 @@ class TestRecoverCandidate:
         with pytest.raises(DegenerateLeadingCoefficientError):
             recover_candidate(sys, xi)
 
+    def test_denominator_exactly_monic(self):
+        # dividing by this q0 leaves 1 - eps as the leading coefficient
+        sys = two_pole_system()
+        a = Polynomial([1.0, 1.3])
+        q0 = 0.18212704632184262 - 7.514334470008722e-09j
+        xi = np.array([q0 * eval_poly(a, -p) for p in sys.poles])
+        assert recover_candidate(sys, xi).a.coeffs[0] == 1.0
+
     def test_non_hurwitz_flagged(self):
         sys = two_pole_system()
         a = Polynomial([1.0, -0.5])  # root at +0.5

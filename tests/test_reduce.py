@@ -19,7 +19,7 @@ from dataclasses import replace
 
 
 def make_candidate(phi, real=True, hurwitz=True):
-    """Synthetic candidate for exercising the selection walk in isolation."""
+    """Synthetic candidate for exercising the selection in isolation."""
     return CriticalPoint(
         xi=np.array([1.0 + 0j]),
         a=Polynomial([1.0, 1.0]),
@@ -107,11 +107,27 @@ class TestSolveReduction:
                 continue
             assert rep.global_candidate.criterion.real == pytest.approx(7.9009e-8, rel=1e-3)
 
+    def test_extra_zero_tuples_fail_loudly(self):
+        # at eigen seeds 0 and 2 the read-off returns 32 distinct tuples for
+        # this system (cond M = 5.6e8), three of them at or below 1e-20: two
+        # copies of the simple root xi = 0 stand in for roots never found.
+        # The ledger must stop such a solve, so on every exit 0 each of the
+        # 31 nonzero roots yields a candidate or a degenerate q0
+        sys = validate(random_real_pole_system(
+            np.random.default_rng(8), 5, lo=-6, hi=-0.5))
+        for seed in range(6):
+            try:
+                rep = solve_reduction(sys, seed=seed)
+            except NumericalError:
+                continue
+            assert (len(rep.candidates)
+                    + rep.diagnostics["degenerate_q0_rejections"]) == 2**5 - 1
+
     def test_count_bound(self):
         rng = np.random.default_rng(16)
         sys = validate(random_stable_system(rng, 5))
         rep = solve_reduction(sys)
-        assert len(rep.candidates) <= 2**5 - 1
+        assert len(rep.candidates) + rep.diagnostics["degenerate_q0_rejections"] == 2**5 - 1
 
     def test_determinism(self):
         rng = np.random.default_rng(18)
@@ -164,5 +180,5 @@ class TestSolveReduction:
         assert rep.global_candidate in rep.admissible
         assert rep.critical_values_sorted == sorted(rep.critical_values_sorted)
         assert rep.diagnostics["seed"] == 5
-        assert rep.diagnostics["zero_solutions_removed"] >= 1
+        assert len(rep.candidates) + rep.diagnostics["degenerate_q0_rejections"] == 2**3 - 1
         assert rep.approximant.denominator.degree == 2
