@@ -8,9 +8,11 @@ residual multiplies out the defining polynomial identity (with the
 library's polynomial arithmetic only), and the normal-form reference
 rewrites polynomials term by term instead of filling matrix columns; the
 annihilation defect multiplies the matrices out against the generators
-they must satisfy. The exception is the dedupe loop at the end, the
-one-tuple-at-a-time reference the array dedupe in ``h2reduce.stetter``
-must agree with; it uses the library's result type only.
+they must satisfy. The exceptions are the references that
+``h2reduce.stetter`` must agree with exactly or to rounding: the
+column-by-column sweep that fills the multiplication matrices, the dense
+commutator products, and the one-tuple-at-a-time dedupe loop at the end,
+which uses the library's result type only.
 
 Polynomials in N variables are plain dicts {multi-index: coefficient}; a
 multi-index is a length-N tuple of exponents.
@@ -228,6 +230,42 @@ def normal_form(f: Dict[MultiIndex, complex], sys, strategy: str = "max_degree")
                 add(tuple(e + 1 if k == j else e for k, e in enumerate(cofactor)),
                     c * sys.m[i, j])
     return out
+
+
+def reference_multiplication_matrices(sys) -> np.ndarray:
+    """The (N, D, D) stack of A_{X_i}, filled one column at a time in index
+    order: column beta of A_i is e_{beta | 2^i} when beta lacks bit i, and
+    otherwise mu_i e_gamma + sum_j m_ij A_j[:, gamma] for gamma = beta ^ 2^i,
+    a column already filled."""
+    n, dim = sys.n_vars, sys.dim
+    mats = np.zeros((n, dim, dim), dtype=complex)
+    for beta in range(dim):
+        for i in range(n):
+            bit = 1 << i
+            if not beta & bit:
+                mats[i, beta | bit, beta] = 1.0
+            else:
+                gamma = beta ^ bit
+                col = np.zeros(dim, dtype=complex)
+                col[gamma] = sys.mu[i]
+                for j in range(n):
+                    if sys.m[i, j] != 0:
+                        col += sys.m[i, j] * mats[j, :, gamma]
+                mats[i, :, beta] = col
+    return mats
+
+
+def dense_commutation_defect(mats) -> float:
+    """max over i < j of ||A_i A_j - A_j A_i||_F / (||A_i||_F ||A_j||_F),
+    from the full D x D products."""
+    n = len(mats)
+    fro = [np.linalg.norm(a) for a in mats]
+    worst = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            c = np.linalg.norm(mats[i] @ mats[j] - mats[j] @ mats[i])
+            worst = max(worst, c / (fro[i] * fro[j]))
+    return float(worst)
 
 
 def annihilation_defect(mm) -> float:

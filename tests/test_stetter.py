@@ -3,12 +3,14 @@ import pytest
 
 from oracles import (
     annihilation_defect,
+    dense_commutation_defect,
     elimination_solutions_n2,
     evaluate_poly_at_matrices,
     generator,
     loop_dedupe,
     match_solution_sets,
     normal_form,
+    reference_multiplication_matrices,
 )
 from h2reduce import (
     DiagQuadSystem,
@@ -17,7 +19,8 @@ from h2reduce import (
     build_multiplication_matrices,
     common_eigen_solutions,
 )
-from h2reduce.stetter import MERGE, EigenSolution, _dedupe
+from h2reduce.stetter import (
+    MERGE, EigenSolution, _commutation_defect, _commutator_norm, _dedupe)
 
 
 def random_system(rng, n, with_mu=False):
@@ -43,6 +46,46 @@ class TestBuildMultiplicationMatrices:
                 product = tuple(((beta >> k) & 1) + (k == i) for k in range(3))
                 ref = normal_form({product: 1.0}, sys)
                 assert np.allclose(mm.matrices[i][:, beta], ref, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_fill_matches_column_sweep(self, n):
+        # the level-by-level fill does the column sweep's arithmetic in the
+        # same order, so the matrices agree bit for bit; zeros in M exercise
+        # the skipped terms, complex M and mu both signs of every part. N = 9
+        # is where numpy's multiply loops first round differently for a
+        # Python complex and a numpy scalar
+        rng = np.random.default_rng(50 + n)
+        m = rng.uniform(-2, 2, size=(n, n)) + 1j * rng.uniform(-2, 2, size=(n, n))
+        m[rng.random((n, n)) < 0.3] = 0.0
+        m[0, n - 1] = 0.0
+        for mu in (None, rng.uniform(-2, 2, size=n) - 1j * rng.uniform(0, 1, size=n)):
+            sys = DiagQuadSystem(m, mu=mu)
+            got = build_multiplication_matrices(sys).matrices
+            ref = reference_multiplication_matrices(sys)
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_commutation_defect_matches_dense(self, n):
+        # perturb only the columns with bit i of each A_i, as rounding in the
+        # fill would; the unit columns stay exact, which the block formula
+        # relies on
+        rng = np.random.default_rng(60 + n)
+        sys = random_system(rng, n, with_mu=True)
+        mats = np.array(build_multiplication_matrices(sys).matrices)
+        idx = np.arange(sys.dim)
+        for i in range(n):
+            cols = idx[idx & (1 << i) != 0]
+            mats[i][:, cols] += 1e-6 * rng.standard_normal((sys.dim, cols.size))
+        got, ref = _commutation_defect(mats), dense_commutation_defect(mats)
+        assert ref > 1e-9
+        assert abs(got - ref) <= 1e-10 * ref
+        # pair by pair too, so an error off the maximising pair shows
+        work = np.empty((4, sys.dim, sys.dim // 2), dtype=complex)
+        for j in range(n):
+            for i in range(j):
+                got = _commutator_norm(mats[i], mats[j], i, j, work)
+                ref = np.linalg.norm(mats[i] @ mats[j] - mats[j] @ mats[i])
+                assert abs(got - ref) <= 1e-10 * ref
 
     def test_commutation(self):
         rng = np.random.default_rng(0)
