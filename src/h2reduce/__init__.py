@@ -11,6 +11,7 @@ the global optimum is certified, not just a local one.
 from .errors import (
     BasisSizeError,
     CommutationDefectError,
+    ConjugationDefectError,
     DefectiveEigenstructureError,
     DegenerateLeadingCoefficientError,
     H2ReduceError,
@@ -65,6 +66,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BasisSizeError",
     "CommutationDefectError",
+    "ConjugationDefectError",
     "CriticalPoint",
     "DefectiveEigenstructureError",
     "DegenerateLeadingCoefficientError",

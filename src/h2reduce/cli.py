@@ -283,6 +283,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 3
     except NumericalError as exc:
         print(f"error (numerical): {exc}", file=sys.stderr)
+        for key, value in exc.diagnostics.items():
+            print(f"  {key}: {value}", file=sys.stderr)
         return 4
     except H2ReduceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -46,7 +46,14 @@ class PoleZeroCancellationError(ValidationError):
 
 
 class NumericalError(H2ReduceError):
-    """A numerical check failed; the result would not be trustworthy."""
+    """A numerical check failed; the result would not be trustworthy.
+
+    ``diagnostics`` holds what the failing stage measured, for the report.
+    """
+
+    def __init__(self, message, diagnostics=None):
+        self.diagnostics = diagnostics or {}
+        super().__init__(message)
 
 
 class IllConditionedError(NumericalError):
@@ -59,6 +66,11 @@ class IllConditionedError(NumericalError):
 
 class CommutationDefectError(NumericalError):
     pass
+
+
+class ConjugationDefectError(NumericalError):
+    """The combination of multiplication matrices does not respect the
+    declared conjugation of the variables, so it has no real form."""
 
 
 class DefectiveEigenstructureError(NumericalError):

@@ -119,10 +119,11 @@ def solve_reduction(
     diagnostics: Dict[str, object] = {"seed": seed, "method": method}
 
     m = build_M(sys, tol)
-    mm = build_multiplication_matrices(DiagQuadSystem(m), tol)
+    mm = build_multiplication_matrices(DiagQuadSystem(m, conj=sys.conj_perm), tol)
     diagnostics["commutation_defect"] = mm.commutation_defect
 
     eig = common_eigen_solutions(mm, seed=seed, tol=tol)
+    diagnostics["conjugation_defect"] = eig.conjugation_defect
     # the root ledger: the optimum is certified only if all 2^N roots are
     # accounted for as distinct, accepted tuples, and mu = 0 makes xi = 0 a
     # simple root, so exactly one of them may lie at zero; a second tuple
@@ -131,12 +132,15 @@ def solve_reduction(
     sizes = np.array([np.linalg.norm(x, np.inf) for x in xis])
     at_zero = sizes <= tol.zero_solution * (1.0 + sizes.max(initial=0.0))
     if len(xis) != mm.dim or np.count_nonzero(at_zero) != 1:
-        merged = sum(s.multiplicity_hint - 1 for s in eig.solutions)
+        ledger = {"found": len(xis), "rejected": len(eig.rejected),
+                  "merged": sum(s.multiplicity_hint - 1 for s in eig.solutions),
+                  "at_zero": int(np.count_nonzero(at_zero))}
         raise DefectiveEigenstructureError(
-            f"{len(xis)} of {mm.dim} roots found "
-            f"({len(eig.rejected)} eigenvectors rejected, {merged} merged), "
-            f"{np.count_nonzero(at_zero)} of them at the simple root xi = 0; "
-            "a missing root could hide a lower critical value"
+            f"{ledger['found']} of {mm.dim} roots found "
+            f"({ledger['rejected']} eigenvectors rejected, {ledger['merged']} "
+            f"merged), {ledger['at_zero']} of them at the simple root xi = 0; "
+            "a missing root could hide a lower critical value",
+            diagnostics={**diagnostics, **ledger},
         )
 
     weights = criterion_weights(sys)

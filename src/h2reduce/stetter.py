@@ -20,9 +20,14 @@ only products with the blocks B_i and B_j (``_commutator_norm``).
 
 The roots are read off the eigenvectors of T^T for a random combination
 T = sum c_i A_{X_i}: each is the evaluation vector (b_k(xi))_k of one root,
-so xi_i is its entry 2^i over its entry 0. Every one of the 2^N
-eigenvectors is accounted for, as a root or as a rejection, so a caller
-can tell when roots are missing.
+so xi_i is its entry 2^i over its entry 0. The system is real up to the
+conjugation of its variables (for the H2 problem, the pairing of conjugate
+poles), and the weights c respect it, so T^T is unitarily similar to a real
+matrix R through a sparse U that mixes each pair of conjugate monomials.
+The eigenvectors come from a real ``eig`` of R, and only the rows 0 and 2^i
+of U times them are formed. Every one of the 2^N eigenvectors is accounted
+for, as a root or as a rejection, so a caller can tell when roots are
+missing.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import BasisSizeError, CommutationDefectError
+from .errors import BasisSizeError, CommutationDefectError, ConjugationDefectError
 from .tolerances import Tolerances
 
 # Largest N accepted; the CLI's --cap may not exceed it either.
@@ -47,12 +52,20 @@ MERGE = 1e-9
 
 @dataclass(frozen=True)
 class DiagQuadSystem:
-    """The pair (M, mu) defining x_i^2 = m_i . x + mu_i."""
+    """The pair (M, mu) defining x_i^2 = m_i . x + mu_i, and the involution
+    ``conj`` of the variables under which the system is real.
+
+    ``conj`` defaults to the identity. A system with conj(m_ij) =
+    m_{conj(i), conj(j)} and conj(mu_i) = mu_{conj(i)} maps each root xi to
+    the root conj(xi)[conj]; ``common_eigen_solutions`` relies on it and
+    raises ``ConjugationDefectError`` when the matrices do not respect it.
+    """
 
     m: np.ndarray
     mu: np.ndarray
+    conj: np.ndarray
 
-    def __init__(self, m, mu=None):
+    def __init__(self, m, mu=None, conj=None):
         m = np.atleast_2d(np.asarray(m, dtype=complex))
         n = m.shape[0]
         if m.shape != (n, n):
@@ -65,10 +78,20 @@ class DiagQuadSystem:
             mu = np.atleast_1d(np.asarray(mu, dtype=complex))
             if mu.shape != (n,):
                 raise ValueError("mu must have length N")
-        m.setflags(write=False)
-        mu.setflags(write=False)
+        if conj is None:
+            conj = np.arange(n)
+        else:
+            conj = np.asarray(conj)
+            if (conj.shape != (n,) or not np.issubdtype(conj.dtype, np.integer)
+                    or not np.array_equal(np.sort(conj), np.arange(n))
+                    or not np.array_equal(conj[conj], np.arange(n))):
+                raise ValueError("conj must be an involutive permutation of the N variables")
+            conj = conj.copy()
+        for a in (m, mu, conj):
+            a.setflags(write=False)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "conj", conj)
 
     @property
     def n_vars(self) -> int:
@@ -77,6 +100,12 @@ class DiagQuadSystem:
     @property
     def dim(self) -> int:
         return 1 << self.n_vars
+
+    def basis_conj(self) -> np.ndarray:
+        """The involution of the basis monomials that ``conj`` induces: bit i
+        of index k moves to bit conj(i)."""
+        bits = (np.arange(self.dim)[:, None] >> np.arange(self.n_vars)) & 1
+        return bits @ (1 << self.conj)
 
 
 @dataclass(frozen=True)
@@ -107,6 +136,7 @@ class EigenSolution:
 class EigenSolutionSet:
     solutions: List[EigenSolution]
     rejected: List[EigenSolution]
+    conjugation_defect: float     # imaginary part dropped by ``_real_form``
 
 
 def build_multiplication_matrices(
@@ -143,7 +173,8 @@ def build_multiplication_matrices(
     cdef = _commutation_defect(mats)
     if cdef > tol.commutation:
         raise CommutationDefectError(
-            f"commutation defect {cdef:.3e} exceeds tolerance {tol.commutation:.1e}"
+            f"commutation defect {cdef:.3e} exceeds tolerance {tol.commutation:.1e}",
+            diagnostics={"commutation_defect": cdef},
         )
     mats.setflags(write=False)
     return MultiplicationMatrices(
@@ -291,6 +322,67 @@ def _dedupe(solutions):
     ]
 
 
+def _combination_weights(conj: np.ndarray, seed: int) -> np.ndarray:
+    """The weights c of T = sum c_i A_{X_i}, with c_conj(p) = conj(c_p).
+
+    One standard normal draw g per variable: c_p = g_p for a fixed variable,
+    and c_p = g_p + i g_q, c_q = g_p - i g_q for a pair p < q = conj(p). With
+    the identity ``conj`` this is the real draw g itself.
+    """
+    g = np.random.default_rng(seed).standard_normal(len(conj))
+    c = g.astype(complex)
+    low = np.flatnonzero(np.arange(len(conj)) < conj)
+    c[low] += 1j * g[conj[low]]
+    c[conj[low]] = np.conj(c[low])
+    return c
+
+
+def _mix_pairs(x: np.ndarray, k: np.ndarray, l: np.ndarray, phase: complex) -> None:
+    """Columns k, l of x become (x_k + x_l)/sqrt2 and phase (x_k - x_l)/sqrt2."""
+    h = np.sqrt(0.5)
+    # scaled in place: a fresh temporary per step raised the peak RSS of
+    # repeated N = 9 solves by 4 MB
+    a = x[:, k]
+    a *= h
+    b = x[:, l]
+    b *= h
+    x[:, k] = a + b
+    a -= b
+    a *= phase
+    x[:, l] = a
+
+
+def _real_form(s: np.ndarray, partner: np.ndarray):
+    """R = U^H S U, real when conj(S) = P S P for the permutation
+    P e_k = e_{partner[k]}, and the imaginary part it drops.
+
+    U keeps e_k where partner[k] = k, and takes a pair k < l = partner[k] to
+    (e_k + e_l)/sqrt2 in column k and i(e_k - e_l)/sqrt2 in column l. Then
+    conj(U) = P U, so conj(R) = U^H P conj(S) P U = R. Returns R and
+    max|Im(U^H S U)| / max|R|, which is rounding error when S respects P.
+    ``s`` is overwritten.
+    """
+    k = np.flatnonzero(np.arange(len(partner)) < partner)
+    l = partner[k]
+    _mix_pairs(s, k, l, 1j)        # S U
+    _mix_pairs(s.T, k, l, -1j)     # U^H (S U), on the rows
+    r = s.real.copy()
+    # max |.| without a D x D temporary
+    im = max(s.imag.max(), -s.imag.min())
+    return r, float(im / max(r.max(), -r.min(), 1e-300))
+
+
+def _evaluation_rows(w: np.ndarray, rows: np.ndarray, partner: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of v = U w, for U of ``_real_form``: O(len(rows) D)."""
+    h = np.sqrt(0.5)
+    q = partner[rows]
+    v = w[rows].astype(complex)
+    low, high = rows < q, rows > q
+    v[low] = (w[rows[low]] + 1j * w[q[low]]) * h
+    v[high] = (w[q[high]] - 1j * w[rows[high]]) * h
+    return v
+
+
 def common_eigen_solutions(
     mm: MultiplicationMatrices,
     seed: int = 0,
@@ -299,22 +391,44 @@ def common_eigen_solutions(
     """All simultaneous eigenvalue tuples of the A_{X_i}.
 
     One eigen-decomposition of T^T, where T = sum c_i A_{X_i} is a random
-    real combination. A_{X_i}^T u = xi_i u holds for the evaluation vector
-    u = (b_k(xi))_k of every root xi, and a generic combination separates
-    the roots, so every eigenvector of T^T is an evaluation vector and
-    xi_i = u[2^i] / u[0]. Each tuple is Newton-polished; it is rejected when
-    it is not finite or its normwise residual (``_residual``) exceeds
-    ``tol.eig_residual``. Accepted tuples closer than ``MERGE`` are merged.
-    Every one of the 2^N eigenvectors ends up in ``solutions`` (counted by
-    multiplicity_hint) or in ``rejected``.
+    combination (``_combination_weights``). A_{X_i}^T u = xi_i u holds for the
+    evaluation vector u = (b_k(xi))_k of every root xi, and a generic
+    combination separates the roots, so every eigenvector of T^T is an
+    evaluation vector and xi_i = u[2^i] / u[0].
+
+    The weights respect the system's conjugation, so conj(T) = P T P for the
+    permutation P of the basis monomials that it induces, and T^T is
+    similar to the real matrix R of ``_real_form``. A real ``eig`` of R gives
+    the eigenvectors w, and only the rows 0 and 2^i of u = U w are formed.
+    When R drops an imaginary part above ``tol.commutation``, relative to
+    max|R|, the matrices do not respect the declared conjugation and
+    ``ConjugationDefectError`` is raised.
+
+    Each tuple is Newton-polished; it is rejected when it is not finite or
+    its normwise residual (``_residual``) exceeds ``tol.eig_residual``.
+    Accepted tuples closer than ``MERGE`` are merged. Every one of the 2^N
+    eigenvectors ends up in ``solutions`` (counted by multiplicity_hint) or
+    in ``rejected``.
     """
     tol = tol or Tolerances()
     sys = mm.system
-    c = np.random.default_rng(seed).standard_normal(mm.n_vars)
-    t = np.tensordot(c, mm.matrices, axes=1)
-    _, vecs = np.linalg.eig(t.T)
+    partner = sys.basis_conj()
+    c = _combination_weights(sys.conj, seed)
+    # the complex combination lives only inside _real_form, so it is freed
+    # before eig
+    r, defect = _real_form(np.tensordot(c, mm.matrices, axes=1).T, partner)
+    if defect > tol.commutation:
+        raise ConjugationDefectError(
+            f"conjugation defect {defect:.3e} exceeds tolerance "
+            f"{tol.commutation:.1e}: the multiplication matrices do not "
+            "respect the declared conjugation of the variables",
+            diagnostics={"conjugation_defect": defect},
+        )
+    _, w = np.linalg.eig(r)
+    rows = np.concatenate(([0], 1 << np.arange(mm.n_vars)))
+    v = _evaluation_rows(w, rows, partner)
     with np.errstate(divide="ignore", invalid="ignore"):
-        xis = vecs[1 << np.arange(mm.n_vars)] / vecs[0]
+        xis = v[1:] / v[0]
     m_norm = np.linalg.norm(sys.m, np.inf)
     accepted, rejected = [], []
     for xi in xis.T:
@@ -324,7 +438,8 @@ def common_eigen_solutions(
         xi = _polish(xi, sys)
         sol = EigenSolution(xi, _residual(xi, sys, m_norm), multiplicity_hint=1)
         (accepted if sol.residual <= tol.eig_residual else rejected).append(sol)
-    return EigenSolutionSet(solutions=_dedupe(accepted), rejected=rejected)
+    return EigenSolutionSet(solutions=_dedupe(accepted), rejected=rejected,
+                            conjugation_defect=defect)
 
 
 def build_critical_value_matrix(

@@ -142,6 +142,31 @@ class TestMainExitCodes:
         assert main(["--input", path]) == 3            # rejected by default
         assert main(["--input", path, "--strip-feedthrough"]) == 0
 
+    def test_numerical_exit_prints_diagnostics(self, tmp_path, capsys, monkeypatch):
+        # a complex-pole system whose conjugation is not declared: the eigen
+        # stage finds no real form, and the solve ends in exit 4, not roots
+        import h2reduce.reduce as reduce_mod
+        declared = reduce_mod.DiagQuadSystem
+        monkeypatch.setattr(reduce_mod, "DiagQuadSystem",
+                            lambda m, conj=None: declared(m))
+        path = write_system(tmp_path, "pair.txt", [1, 0.5, 1], [1, 2.5, 3, 2])
+        assert main(["--input", path]) == 4
+        err = capsys.readouterr().err
+        assert "conjugation defect" in err
+        assert "  conjugation_defect: " in err
+
+    def test_defective_exit_prints_ledger(self, tmp_path, capsys):
+        # the seed-7 N = 6 real-pole system loses roots at every eigen seed
+        from conftest import random_real_pole_system
+        tf = random_real_pole_system(np.random.default_rng(7), 6, lo=-6, hi=-0.5)
+        path = write_system(tmp_path, "lost.txt", [repr(float(c)) for c in tf.numerator.coeffs],
+                            [repr(float(c)) for c in tf.denominator.coeffs])
+        assert main(["--input", path, "--seed", "1"]) == 4
+        err = capsys.readouterr().err
+        for key in ("seed", "method", "found", "rejected", "merged", "at_zero",
+                    "commutation_defect", "conjugation_defect"):
+            assert f"  {key}: " in err
+
     def test_unknown_flag(self):
         assert main(["--frobnicate"]) == 1
 

@@ -33,6 +33,29 @@ class TestDiagQuadSystem:
         assert np.all(sys.mu == 0)
         assert sys.dim == 4
 
+    def test_default_conj_identity(self):
+        sys = DiagQuadSystem(np.eye(3))
+        assert np.array_equal(sys.conj, [0, 1, 2])
+        assert np.array_equal(sys.basis_conj(), np.arange(8))
+
+    def test_conj_accepted(self):
+        sys = DiagQuadSystem(np.eye(3), conj=[1, 0, 2])
+        assert np.array_equal(sys.conj, [1, 0, 2])
+        # bits 0 and 1 swap: x0 <-> x1, x0 x2 <-> x1 x2
+        assert np.array_equal(sys.basis_conj(), [0, 2, 1, 3, 4, 6, 5, 7])
+
+    @pytest.mark.parametrize("conj", [
+        [1, 2, 0],          # a permutation, but of order 3
+        [0, 0, 2],          # not a permutation
+        [0, 1],             # wrong length
+        [0, 1, 3],          # out of range
+        [-1, 1, 2],         # negative index
+        [1.0, 0.0, 2.0],    # not integers
+    ])
+    def test_conj_must_be_involutive_permutation(self, conj):
+        with pytest.raises(ValueError):
+            DiagQuadSystem(np.eye(3), conj=conj)
+
     def test_generator(self):
         sys = DiagQuadSystem([[2.0, 3.0], [0.0, 5.0]], mu=[7.0, 0.0])
         g0 = generator(sys, 0)

@@ -143,7 +143,7 @@ class TestFocResidual:
         rng = np.random.default_rng(77)
         sys = validate(random_stable_system(rng, 4))
         m = build_M(sys)
-        mm = build_multiplication_matrices(DiagQuadSystem(m))
+        mm = build_multiplication_matrices(DiagQuadSystem(m, conj=sys.conj_perm))
         for s in common_eigen_solutions(mm).solutions:
             x = s.xi
             if np.max(np.abs(x)) < 1e-9:

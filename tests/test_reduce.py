@@ -4,6 +4,7 @@ import pytest
 from conftest import random_real_pole_system, random_stable_system
 from h2reduce import (
     CriticalPoint,
+    DefectiveEigenstructureError,
     NoAdmissibleSolutionError,
     NumericalError,
     Polynomial,
@@ -94,10 +95,12 @@ class TestSolveReduction:
             assert rep.global_candidate.is_admissible
 
     def test_lost_roots_fail_loudly(self):
-        # the read-off merges or rejects a few of this system's 64 roots at
-        # every eigen seed tried; a solve that goes on without them may miss
-        # the optimum phi = 7.9009e-8, so it must end in a numerical error
-        # (exit 4), never in "no admissible point" or a higher phi
+        # cond M = 7.0e9: the read-off finds 55 to 64 distinct roots of 64 at
+        # eigen seeds 0-5, with merged or rejected eigenvectors or extra
+        # copies of xi = 0, so every seed tried ends in exit 4. A solve that
+        # went on without the lost roots could miss the optimum phi =
+        # 7.9009e-8, so it must end in a numerical error, never in "no
+        # admissible point" or a higher phi
         sys = validate(random_real_pole_system(
             np.random.default_rng(7), 6, lo=-6, hi=-0.5))
         for seed in range(6):
@@ -107,12 +110,27 @@ class TestSolveReduction:
                 continue
             assert rep.global_candidate.criterion.real == pytest.approx(7.9009e-8, rel=1e-3)
 
+    def test_defective_error_carries_its_ledger(self):
+        sys = validate(random_real_pole_system(
+            np.random.default_rng(7), 6, lo=-6, hi=-0.5))
+        with pytest.raises(DefectiveEigenstructureError) as exc:
+            solve_reduction(sys, seed=1, method="cvm")
+        d = exc.value.diagnostics
+        assert d["seed"] == 1 and d["method"] == "cvm"
+        # every eigenvector is a root found, a rejection or a merged copy
+        assert d["found"] + d["rejected"] + d["merged"] == 2**6
+        assert d["found"] != 2**6 or d["at_zero"] != 1
+        assert d["commutation_defect"] <= Tolerances().commutation
+        assert d["conjugation_defect"] == 0.0       # real poles: T is real
+        assert "n_candidates" not in d
+
     def test_extra_zero_tuples_fail_loudly(self):
-        # at eigen seeds 0 and 2 the read-off returns 32 distinct tuples for
-        # this system (cond M = 5.6e8), three of them at or below 1e-20: two
-        # copies of the simple root xi = 0 stand in for roots never found.
-        # The ledger must stop such a solve, so on every exit 0 each of the
-        # 31 nonzero roots yields a candidate or a degenerate q0
+        # cond M = 5.6e8: at eigen seeds 1 and 5 the read-off returns 32
+        # distinct tuples, two of them at the simple root xi = 0, one copy
+        # standing in for a root never found; at seed 0 it finds 31 of 32.
+        # The ledger stops those solves (exit 4). Seed 2 finds all 32 and
+        # exits 0 with phi = 7.64e-8, and on every exit 0 each of the 31
+        # nonzero roots yields a candidate or a degenerate q0
         sys = validate(random_real_pole_system(
             np.random.default_rng(8), 5, lo=-6, hi=-0.5))
         for seed in range(6):

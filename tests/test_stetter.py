@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import random_stable_system
 from oracles import (
     annihilation_defect,
     dense_commutation_defect,
@@ -13,14 +14,17 @@ from oracles import (
     reference_multiplication_matrices,
 )
 from h2reduce import (
+    ConjugationDefectError,
     DiagQuadSystem,
     build_M,
     build_critical_value_matrix,
     build_multiplication_matrices,
     common_eigen_solutions,
+    validate,
 )
 from h2reduce.stetter import (
-    MERGE, EigenSolution, _commutation_defect, _commutator_norm, _dedupe)
+    MERGE, EigenSolution, _combination_weights, _commutation_defect,
+    _commutator_norm, _dedupe, _evaluation_rows, _real_form)
 
 
 def random_system(rng, n, with_mu=False):
@@ -171,9 +175,89 @@ class TestCommonEigenSolutions:
             assert np.array_equal(x.xi, y.xi)
 
 
+def pole_matrices(sys):
+    """Multiplication matrices of a validated system, with its pole
+    conjugation declared as the solve does."""
+    return build_multiplication_matrices(DiagQuadSystem(build_M(sys), conj=sys.conj_perm))
+
+
 @pytest.fixture(scope="module")
 def example1_matrices(example1_system):
-    return build_multiplication_matrices(DiagQuadSystem(build_M(example1_system)))
+    return pole_matrices(example1_system)
+
+
+@pytest.fixture(scope="module")
+def pairs6_matrices():
+    # N = 6 with two complex pole pairs
+    sys = validate(random_stable_system(np.random.default_rng(8), 6))
+    assert np.count_nonzero(sys.conj_perm != np.arange(6)) == 4
+    return pole_matrices(sys)
+
+
+class TestRealForm:
+    """T^T against the real matrix R = U^H T^T U built from the conjugation."""
+
+    @staticmethod
+    def dense_u(partner):
+        dim = len(partner)
+        u = np.zeros((dim, dim), dtype=complex)
+        h = np.sqrt(0.5)
+        for k, l in enumerate(partner):
+            if k == l:
+                u[k, k] = 1.0
+            elif k < l:
+                u[[k, l], k] = h
+                u[[k, l], l] = 1j * h, -1j * h
+        return u
+
+    @pytest.mark.parametrize("matrices", ["example1_matrices", "pairs6_matrices"])
+    def test_similar_to_transpose(self, matrices, request):
+        mm = request.getfixturevalue(matrices)
+        partner = mm.system.basis_conj()
+        assert np.any(partner != np.arange(mm.dim))
+        t = np.tensordot(_combination_weights(mm.system.conj, 0), mm.matrices, axes=1)
+        r, defect = _real_form(t.T.copy(), partner)
+        assert r.dtype == np.float64 and defect <= 1e-12
+        u = self.dense_u(partner)
+        assert np.allclose(u.conj().T @ u, np.eye(mm.dim), rtol=0, atol=1e-15)
+        dense = u.conj().T @ t.T @ u
+        scale = np.abs(r).max()
+        assert np.abs(dense.real - r).max() <= 1e-13 * scale
+        assert np.abs(dense.imag).max() <= 1e-12 * scale
+        # the same spectrum as T^T, paired one to one
+        got, ref = np.linalg.eigvals(r), np.linalg.eigvals(t.T)
+        near = np.abs(got[:, None] - ref[None, :]).argmin(axis=1)
+        assert np.array_equal(np.sort(near), np.arange(mm.dim))
+        assert np.abs(got - ref[near]).max() <= 1e-9 * np.abs(ref).max()
+        # rows 0 and 2^i of U w without forming U
+        _, w = np.linalg.eig(r)
+        rows = np.concatenate(([0], 1 << np.arange(mm.n_vars)))
+        assert np.allclose(_evaluation_rows(w, rows, partner), (u @ w)[rows],
+                           rtol=0, atol=1e-15)
+
+    def test_weights_keep_the_real_draw(self):
+        for seed in range(5):
+            g = np.random.default_rng(seed).standard_normal(4)
+            c = _combination_weights(np.arange(4), seed)
+            assert np.array_equal(c.real, g) and not np.any(c.imag)
+            # a pair 1 <-> 3: c_1 = g_1 + i g_3, c_3 its conjugate
+            c = _combination_weights(np.array([0, 3, 2, 1]), seed)
+            assert np.array_equal(c, [g[0], g[1] + 1j * g[3], g[2], g[1] - 1j * g[3]])
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_undeclared_conjugation_raises(self, n):
+        # complex pole pairs, declared with the identity conjugation: the
+        # combination has no real form, and no root may come out
+        rng = np.random.default_rng(100 + n)
+        while True:
+            sys = validate(random_stable_system(rng, n))
+            if np.any(sys.conj_perm != np.arange(n)):
+                break
+        mm = build_multiplication_matrices(DiagQuadSystem(build_M(sys)))
+        with pytest.raises(ConjugationDefectError) as exc:
+            common_eigen_solutions(mm)
+        assert exc.value.diagnostics["conjugation_defect"] > 1e-10
+        assert common_eigen_solutions(pole_matrices(sys)).conjugation_defect <= 1e-12
 
 
 class TestEigenKernelsAgainstLoops:
