@@ -59,7 +59,7 @@ from .tf import (
     strip_feedthrough,
     validate,
 )
-from .tolerances import PROFILES, Tolerances
+from .tolerances import Tolerances
 
 __version__ = "0.1.0"
 
@@ -80,7 +80,6 @@ __all__ = [
     "NoAdmissibleSolutionError",
     "NotStrictlyProperError",
     "NumericalError",
-    "PROFILES",
     "PoleZeroCancellationError",
     "Polynomial",
     "ReductionReport",

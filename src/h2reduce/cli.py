@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -34,7 +33,6 @@ from .tf import (
     strip_feedthrough,
     validate,
 )
-from .tolerances import PROFILES, Tolerances
 
 DEFAULT_CAP = 9
 
@@ -216,16 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["enum", "cvm"], default="enum",
                    help="criterion evaluation: pointwise enumeration (default) "
                         "or critical-value matrix")
-    p.add_argument("--profile", choices=sorted(PROFILES), default="default",
-                   help="tolerance bundle (default: default)")
-    p.add_argument("--tol-real", type=float, default=None,
-                   help="realness tolerance (default %g)" % Tolerances().real)
-    p.add_argument("--tol-hurwitz", type=float, default=None,
-                   help="stability margin (default %g)" % Tolerances().hurwitz)
-    p.add_argument("--tol-eig", type=float, default=None,
-                   help="largest normwise residual of a root read off an "
-                        "eigenvector and Newton-polished (default %g)"
-                        % Tolerances().eig_residual)
     p.add_argument("--strip-feedthrough", action="store_true",
                    help="remove a direct feedthrough term instead of rejecting "
                         "a non-strictly-proper input")
@@ -244,13 +232,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0 if exc.code == 0 else 1
 
     try:
-        tol = PROFILES[args.profile]
-        if args.tol_real is not None:
-            tol = replace(tol, real=args.tol_real)
-        if args.tol_hurwitz is not None:
-            tol = replace(tol, hurwitz=args.tol_hurwitz)
-        if args.tol_eig is not None:
-            tol = replace(tol, eig_residual=args.tol_eig)
         if not 1 <= args.cap <= N_CAP:
             raise InputError(f"--cap must be between 1 and {N_CAP}")
 
@@ -267,8 +248,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"system order {tf.denominator.degree} exceeds --cap {args.cap}"
             )
 
-        sys_v = validate(tf, tol)
-        report = solve_reduction(sys_v, seed=args.seed, tol=tol, method=args.method)
+        sys_v = validate(tf)
+        report = solve_reduction(sys_v, seed=args.seed, method=args.method)
     except InputError as exc:
         print(f"error (input): {exc}", file=sys.stderr)
         return 1

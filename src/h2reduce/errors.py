@@ -6,7 +6,14 @@ NoAdmissibleSolutionError -> 2, ValidationError -> 3, NumericalError -> 4.
 
 
 class H2ReduceError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    ``diagnostics`` holds what the failing stage measured, for the report.
+    """
+
+    def __init__(self, message, diagnostics=None):
+        self.diagnostics = diagnostics or {}
+        super().__init__(message)
 
 
 class InputError(H2ReduceError):
@@ -46,14 +53,7 @@ class PoleZeroCancellationError(ValidationError):
 
 
 class NumericalError(H2ReduceError):
-    """A numerical check failed; the result would not be trustworthy.
-
-    ``diagnostics`` holds what the failing stage measured, for the report.
-    """
-
-    def __init__(self, message, diagnostics=None):
-        self.diagnostics = diagnostics or {}
-        super().__init__(message)
+    """A numerical check failed; the result would not be trustworthy."""
 
 
 class IllConditionedError(NumericalError):
@@ -83,10 +83,6 @@ class DegenerateLeadingCoefficientError(NumericalError):
 
 class NoAdmissibleSolutionError(H2ReduceError):
     """Every critical-point candidate was rejected."""
-
-    def __init__(self, message, diagnostics=None):
-        self.diagnostics = diagnostics or {}
-        super().__init__(message)
 
 
 class BasisSizeError(H2ReduceError):

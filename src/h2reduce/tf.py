@@ -40,10 +40,6 @@ class TransferFunction:
         object.__setattr__(self, "numerator", numerator.scale(1.0 / lead))
         object.__setattr__(self, "denominator", denominator.monic())
 
-    @property
-    def order(self) -> int:
-        return self.denominator.degree
-
     def __call__(self, s: complex) -> complex:
         return eval_poly(self.numerator, s) / eval_poly(self.denominator, s)
 
@@ -54,8 +50,7 @@ def strip_feedthrough(numerator: Polynomial, denominator: Polynomial) -> Transfe
     The optimal strictly proper approximant is unaffected by the
     feedthrough term, so this is sound, but callers must opt in.
     """
-    q, r = np.polydiv(numerator.coeffs, denominator.coeffs)
-    del q
+    _, r = np.polydiv(numerator.coeffs, denominator.coeffs)
     return TransferFunction(Polynomial(r), denominator)
 
 
@@ -68,17 +63,7 @@ def generate_relaxation(n: int, alpha: float) -> TransferFunction:
     if alpha == 1.0:
         raise InputError("degenerate relaxation system (first order): alpha = 1")
     gains = np.array([alpha ** (2 * j) for j in range(1, n + 1)])
-    den = np.array([1.0])
-    for g in gains:
-        den = np.convolve(den, [1.0, g])
-    num = np.zeros(n)
-    for i, g in enumerate(gains):
-        term = np.array([g])
-        for j, h in enumerate(gains):
-            if j != i:
-                term = np.convolve(term, [1.0, h])
-        num += term
-    return TransferFunction(Polynomial(np.trim_zeros(num, "f")), Polynomial(den))
+    return from_pole_residue(-gains, gains)
 
 
 def from_pole_residue(poles: np.ndarray, residues: np.ndarray) -> TransferFunction:

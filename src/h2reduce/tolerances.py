@@ -1,14 +1,13 @@
 """Tolerance bundle threaded through the pipeline.
 
 All values are relative unless noted. The defaults are the ones the
-acceptance suite is calibrated against; ``strict`` and ``loose`` scale the
-acceptance-side thresholds by 0.1x / 10x while leaving hard construction
-checks alone.
+acceptance suite is calibrated against, and the command line uses them
+as they are: a certificate rests on one fixed set of thresholds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -31,21 +30,3 @@ class Tolerances:
     value_real: float = 1e-6          # |Im phi| / (1 + |phi|)
     value_cluster: float = 1e-8       # distinctness of critical values
     cross_check: float = 1e-6         # |phi - distance^2| / (1 + phi)
-
-    def scaled(self, factor: float) -> "Tolerances":
-        """Scale the acceptance-side thresholds (not construction checks)."""
-        return replace(
-            self,
-            real=self.real * factor,
-            q0=self.q0 * factor,
-            eig_residual=self.eig_residual * factor,
-            value_real=self.value_real * factor,
-            cross_check=self.cross_check * factor,
-        )
-
-
-PROFILES = {
-    "default": Tolerances(),
-    "strict": Tolerances().scaled(0.1),
-    "loose": Tolerances().scaled(10.0),
-}

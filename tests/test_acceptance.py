@@ -6,6 +6,7 @@ asserting, so the scoreboard is visible even when a criterion fails.
 """
 
 import numpy as np
+import pytest
 
 from conftest import random_real_pole_system, random_stable_system
 from oracles import (
@@ -168,6 +169,7 @@ def _dedupe_oracle(sols):
     return uniq
 
 
+@pytest.mark.slow
 def test_criterion_4_small_n_oracle_equivalence():
     rng = np.random.default_rng(2024)
     set_mismatches = 0

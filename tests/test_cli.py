@@ -170,6 +170,17 @@ class TestMainExitCodes:
     def test_unknown_flag(self):
         assert main(["--frobnicate"]) == 1
 
+    @pytest.mark.parametrize("flag", [
+        ["--profile", "loose"],
+        ["--profile", "strict"],
+        ["--tol-real", "1e-5"],
+        ["--tol-hurwitz", "1e-8"],
+        ["--tol-eig", "1e-6"],
+    ])
+    def test_thresholds_are_not_options(self, flag):
+        # a certificate rests on one fixed set of thresholds
+        assert main(["--relaxation", "N=4", "alpha=0.5"] + flag) == 1
+
 
 class TestStructuredOutput:
     def parse(self, text):
