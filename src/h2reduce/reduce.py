@@ -128,8 +128,8 @@ def solve_reduction(
     # accounted for as distinct, accepted tuples, and mu = 0 makes xi = 0 a
     # simple root, so exactly one of them may lie at zero; a second tuple
     # there is a copy of it standing in for a root never found
-    xis = [s.xi for s in eig.solutions]
-    sizes = np.array([np.linalg.norm(x, np.inf) for x in xis])
+    xis = np.array([s.xi for s in eig.solutions]).reshape(-1, mm.n_vars)
+    sizes = np.abs(xis).max(axis=1)
     at_zero = sizes <= tol.zero_solution * (1.0 + sizes.max(initial=0.0))
     if len(xis) != mm.dim or np.count_nonzero(at_zero) != 1:
         ledger = {"found": len(xis), "rejected": len(eig.rejected),

@@ -25,9 +25,13 @@ conjugation of its variables (for the H2 problem, the pairing of conjugate
 poles), and the weights c respect it, so T^T is unitarily similar to a real
 matrix R through a sparse U that mixes each pair of conjugate monomials.
 The eigenvectors come from a real ``eig`` of R, and only the rows 0 and 2^i
-of U times them are formed. Every one of the 2^N eigenvectors is accounted
-for, as a root or as a rejection, so a caller can tell when roots are
-missing.
+of U times them are formed. The 2^N tuples read off them are then handled
+as one array: all are Newton-polished together, one LAPACK solve per root
+and step on a stack of N x N Jacobians, with the arithmetic of a one-root
+loop; their residuals are row reductions; and the merge of near-equal roots
+tests only the pairs whose norms lie close enough, found by one sort. Every
+one of the 2^N eigenvectors is accounted for, as a root or as a rejection,
+so a caller can tell when roots are missing.
 """
 
 from __future__ import annotations
@@ -249,41 +253,105 @@ def _commutation_defect(mats: np.ndarray) -> float:
     return float(cdef)
 
 
-def _polish(xi: np.ndarray, sys: DiagQuadSystem, max_iter: int = 12) -> np.ndarray:
-    """Newton-polish a root of F(x) = x^2 - Mx - mu.
+def _resid(x: np.ndarray, sys: DiagQuadSystem) -> np.ndarray:
+    """F(x) = x*x - M x - mu for each row x of a (k, N) array. The stacked
+    matmul computes M x row by row with the same BLAS call as ``M @ x``."""
+    return x * x - np.matmul(sys.m, x[:, :, None])[:, :, 0] - sys.mu
+
+
+def _norms(z: np.ndarray) -> np.ndarray:
+    """The 2-norm of each row of a complex (k, N) array. ``np.linalg.norm``
+    of one row takes two BLAS dot products, of the real and of the imaginary
+    part; a stacked (1, N) by (N, 1) matmul makes the same calls."""
+    re, im = (np.matmul(p[:, None, :], p[:, :, None])[:, 0, 0]
+              for p in (z.real, z.imag))
+    return np.sqrt(re + im)
+
+
+def _newton_steps(jac: np.ndarray, f: np.ndarray):
+    """Solve J_k s_k = f_k for a stack of Jacobians, one LAPACK call per
+    matrix. Returns the steps and a mask that is False where J_k is exactly
+    singular. ``np.linalg.solve`` raises for the whole stack when one member
+    is singular, so that stack is solved again member by member."""
+    ok = np.ones(len(f), dtype=bool)
+    try:
+        return np.linalg.solve(jac, f[:, :, None])[:, :, 0], ok
+    except np.linalg.LinAlgError:
+        step = np.zeros_like(f)
+        for k in range(len(f)):
+            try:
+                step[k] = np.linalg.solve(jac[k], f[k])
+            except np.linalg.LinAlgError:
+                ok[k] = False
+        return step, ok
+
+
+def _polish(starts: np.ndarray, sys: DiagQuadSystem, max_iter: int = 12):
+    """Newton-polish each column of an (N, k) array as a root of
+    F(x) = x^2 - Mx - mu.
 
     Eigenvector-derived tuples carry O(sqrt(eps)) noise on clustered spectra;
     a few Newton steps push well-conditioned roots to machine precision.
-    Returns the input unchanged if the iteration fails to improve it.
+    Each root keeps the iterate of least residual 2-norm, its start if no
+    step improves on it. A root stops after ``max_iter`` steps, once its
+    residual is below 1e-15 (1 + ||x||^2), or when its Jacobian is exactly
+    singular. All roots step together, each with the arithmetic of a
+    one-root loop, so the result is bitwise that of polishing the columns
+    one at a time. F at a start is computed on the column in place: BLAS
+    rounds M x for a strided x differently than for a contiguous one.
+
+    Returns the polished roots as the rows of a (k, N) array, and F at each.
     """
-    def resid(x):
-        return x * x - sys.m @ x - sys.mu
-
-    best, best_r = xi, np.linalg.norm(resid(xi))
-    x = xi.copy()
+    n, k = starts.shape
+    diag = np.arange(n)
+    best_f = _resid(starts.T, sys)
+    best_r = _norms(best_f)
+    x = starts.T.copy()
+    best = x.copy()
+    f = _resid(x, sys)
+    live = np.arange(k)    # roots still iterating; x and f hold their rows
+    jac = np.empty((k, n, n), dtype=complex)
     for _ in range(max_iter):
-        jac = 2.0 * np.diag(x) - sys.m
-        try:
-            step = np.linalg.solve(jac, resid(x))
-        except np.linalg.LinAlgError:
+        if not live.size:
             break
+        j = jac[:live.size]
+        # zeros, diagonal, then -M: starting from -M would flip signed zeros
+        j.fill(0.0)
+        j[:, diag, diag] = 2.0 * x
+        j -= sys.m
+        step, ok = _newton_steps(j, f)
+        if not ok.all():
+            live, x, step = live[ok], x[ok], step[ok]
         x = x - step
-        r = np.linalg.norm(resid(x))
-        if r < best_r:
-            best, best_r = x.copy(), r
-        if r < 1e-15 * (1.0 + np.linalg.norm(x) ** 2):
-            break
-    return best
+        f = _resid(x, sys)
+        r = _norms(f)
+        better = r < best_r[live]
+        won = live[better]
+        best[won], best_f[won], best_r[won] = x[better], f[better], r[better]
+        # the one-root loop's scalar ** 2 calls pow, which can differ from an
+        # array square in the last bit
+        x_sq = np.array([v ** 2 for v in _norms(x)])
+        # an iterate that is no longer finite stays so, and its residual
+        # (inf or nan) never improves on the best
+        go = ~(r < 1e-15 * (1.0 + x_sq)) & np.isfinite(x).all(axis=1)
+        live, x, f = live[go], x[go], f[go]
+    return best, best_f
 
 
-def _residual(xi: np.ndarray, sys: DiagQuadSystem, m_norm: float) -> float:
-    """Normwise residual ||xi*xi - M xi - mu||_inf of a root, relative to
+def _residual(xis: np.ndarray, f: np.ndarray, sys: DiagQuadSystem,
+              m_norm: float) -> np.ndarray:
+    """Normwise residual ||F(xi)||_inf = ||xi*xi - M xi - mu||_inf of each row
+    of a (k, N) array, given F at the rows, relative to
     ||xi||^2 + ||M|| ||xi|| + ||mu||: the size of the terms that cancel, so a
     tiny root next to large ones is judged on its own scale."""
-    x_norm = np.linalg.norm(xi, np.inf)
+    x_norm = np.abs(xis).max(axis=1)
     scale = x_norm * x_norm + m_norm * x_norm + np.linalg.norm(sys.mu, np.inf)
-    r = np.linalg.norm(xi * xi - sys.m @ xi - sys.mu, np.inf)
-    return float(r / max(scale, 1e-300))
+    return np.abs(f).max(axis=1) / np.maximum(scale, 1e-300)
+
+
+# Candidate pairs tested at once by ``_dedupe``: bounds its temporaries when
+# many tuples share one norm (a diagonal M gives 2^(N-1) roots the same one).
+_PAIR_BLOCK = 1 << 15
 
 
 def _dedupe(solutions):
@@ -292,33 +360,48 @@ def _dedupe(solutions):
     Each tuple joins the first earlier representative u with
     ||s - u||_inf <= MERGE * max(||s||_inf, ||u||_inf, 1e-300), or becomes a
     representative itself; multiplicity_hint counts the members.
+
+    Since | ||s|| - ||u|| | <= ||s - u||, only pairs whose norms lie within
+    4 MERGE max(||s||, 1e-300) of each other can merge; the factor 4 covers
+    the rounding of the computed norms. One sort of the norms gives each
+    tuple that window, the candidate pairs in it are tested as arrays, and
+    the greedy rule then runs over the pairs that are close.
     """
     if not solutions:
         return []
-    shape = (len(solutions), len(solutions[0].xi))
-    reps = np.empty(shape, dtype=complex)
-    rep_norms = np.empty(shape[0])
-    # scratch reused for every tuple: fresh (m x N) temporaries per tuple
-    # fragment the heap and raised peak RSS by 3 MB at N = 9
-    diff, gap = np.empty(shape, dtype=complex), np.empty(shape)
-    out: List[EigenSolution] = []
-    counts: List[int] = []
-    for s in solutions:
-        m = len(out)
-        s_norm = np.linalg.norm(s.xi, np.inf)
-        if m:
-            np.abs(np.subtract(s.xi, reps[:m], out=diff[:m]), out=gap[:m])
-            scale = np.maximum(np.maximum(rep_norms[:m], s_norm), 1e-300)
-            hits = np.flatnonzero(gap[:m].max(axis=1) <= MERGE * scale)
-            if hits.size:
-                counts[hits[0]] += 1
-                continue
-        reps[m], rep_norms[m] = s.xi, s_norm
-        out.append(s)
-        counts.append(1)
+    x = np.array([s.xi for s in solutions])
+    k = len(x)
+    norms = np.abs(x).max(axis=1)
+    order = np.argsort(norms)
+    sorted_norms = norms[order]
+    reach = 4.0 * MERGE * np.maximum(norms, 1e-300)
+    lo = np.searchsorted(sorted_norms, norms - reach, side="left")
+    width = np.searchsorted(sorted_norms, norms + reach, side="right") - lo
+    ends = np.cumsum(width)
+    first = ends - width    # offset of each tuple's candidates among all
+    counts = np.ones(k, dtype=int)
+    is_rep = np.ones(k, dtype=bool)
+    start = 0
+    while start < k:
+        stop = max(start + 1, int(np.searchsorted(
+            ends, first[start] + _PAIR_BLOCK, side="right")))
+        s = np.repeat(np.arange(start, stop), width[start:stop])
+        u = order[lo[s] + np.arange(first[start], ends[stop - 1]) - first[s]]
+        keep = u < s
+        s, u = s[keep], u[keep]
+        gap = np.abs(x[s] - x[u]).max(axis=1)
+        close = gap <= MERGE * np.maximum(np.maximum(norms[u], norms[s]), 1e-300)
+        s, u = s[close], u[close]
+        # each tuple's close pairs in order of their earlier member; those
+        # before it are settled already
+        for p in np.lexsort((u, s)):
+            if is_rep[s[p]] and is_rep[u[p]]:
+                counts[u[p]] += 1
+                is_rep[s[p]] = False
+        start = stop
     return [
-        EigenSolution(s.xi, s.residual, multiplicity_hint=c)
-        for s, c in zip(out, counts)
+        EigenSolution(sol.xi, sol.residual, multiplicity_hint=int(c))
+        for sol, c, rep in zip(solutions, counts, is_rep) if rep
     ]
 
 
@@ -404,13 +487,35 @@ def common_eigen_solutions(
     max|R|, the matrices do not respect the declared conjugation and
     ``ConjugationDefectError`` is raised.
 
-    Each tuple is Newton-polished; it is rejected when it is not finite or
-    its normwise residual (``_residual``) exceeds ``tol.eig_residual``.
-    Accepted tuples closer than ``MERGE`` are merged. Every one of the 2^N
-    eigenvectors ends up in ``solutions`` (counted by multiplicity_hint) or
-    in ``rejected``.
+    The finite tuples are Newton-polished as one (2^N, N) array
+    (``_polish``), bitwise as if one at a time. A tuple is rejected when it is
+    not finite or its normwise residual (``_residual``) exceeds
+    ``tol.eig_residual``. Accepted tuples closer than ``MERGE`` are merged
+    (``_dedupe``). Every one of the 2^N eigenvectors ends up in
+    ``solutions`` (counted by multiplicity_hint) or in ``rejected``, each
+    list in the order of the eigenvectors.
     """
     tol = tol or Tolerances()
+    sys = mm.system
+    q, defect = _read_off(mm, seed, tol)
+    finite = np.isfinite(q).all(axis=0)
+    # a column that is not finite is rejected as it is; a zero start in its
+    # place keeps the batch finite
+    xis, f = _polish(np.where(finite, q, 0.0), sys)
+    residual = np.where(finite, _residual(xis, f, sys, np.linalg.norm(sys.m, np.inf)),
+                        np.inf)
+    xis[~finite] = q.T[~finite]
+    accepted, rejected = [], []
+    for xi, res in zip(xis, residual.tolist()):
+        (accepted if res <= tol.eig_residual else rejected).append(
+            EigenSolution(xi, res, multiplicity_hint=1))
+    return EigenSolutionSet(solutions=_dedupe(accepted), rejected=rejected,
+                            conjugation_defect=defect)
+
+
+def _read_off(mm: MultiplicationMatrices, seed: int, tol: Tolerances):
+    """The tuples xi_i = u[2^i] / u[0] of all 2^N eigenvectors u of T^T, one
+    per column of an (N, 2^N) array, and the conjugation defect of R."""
     sys = mm.system
     partner = sys.basis_conj()
     c = _combination_weights(sys.conj, seed)
@@ -428,18 +533,7 @@ def common_eigen_solutions(
     rows = np.concatenate(([0], 1 << np.arange(mm.n_vars)))
     v = _evaluation_rows(w, rows, partner)
     with np.errstate(divide="ignore", invalid="ignore"):
-        xis = v[1:] / v[0]
-    m_norm = np.linalg.norm(sys.m, np.inf)
-    accepted, rejected = [], []
-    for xi in xis.T:
-        if not np.all(np.isfinite(xi)):
-            rejected.append(EigenSolution(xi, float("inf"), multiplicity_hint=1))
-            continue
-        xi = _polish(xi, sys)
-        sol = EigenSolution(xi, _residual(xi, sys, m_norm), multiplicity_hint=1)
-        (accepted if sol.residual <= tol.eig_residual else rejected).append(sol)
-    return EigenSolutionSet(solutions=_dedupe(accepted), rejected=rejected,
-                            conjugation_defect=defect)
+        return v[1:] / v[0], defect
 
 
 def build_critical_value_matrix(

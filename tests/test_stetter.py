@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_stable_system
+from conftest import random_real_pole_system, random_stable_system
 from oracles import (
     annihilation_defect,
     dense_commutation_defect,
@@ -9,6 +9,8 @@ from oracles import (
     evaluate_poly_at_matrices,
     generator,
     loop_dedupe,
+    loop_polish,
+    loop_residual,
     match_solution_sets,
     normal_form,
     reference_multiplication_matrices,
@@ -16,20 +18,33 @@ from oracles import (
 from h2reduce import (
     ConjugationDefectError,
     DiagQuadSystem,
+    Polynomial,
+    Tolerances,
+    TransferFunction,
     build_M,
     build_critical_value_matrix,
     build_multiplication_matrices,
     common_eigen_solutions,
     validate,
 )
+from h2reduce import stetter
 from h2reduce.stetter import (
     MERGE, EigenSolution, _combination_weights, _commutation_defect,
-    _commutator_norm, _dedupe, _evaluation_rows, _real_form)
+    _commutator_norm, _dedupe, _evaluation_rows, _norms, _polish, _read_off,
+    _real_form, _residual)
 
 
 def random_system(rng, n, with_mu=False):
     mu = rng.uniform(-2, 2, size=n) if with_mu else None
     return DiagQuadSystem(rng.uniform(-2, 2, size=(n, n)), mu=mu)
+
+
+def pole_pair_system(rng, n):
+    """Random stable real system of order n with n // 2 complex pole pairs."""
+    pairs = rng.uniform(-3.0, -0.3, n // 2) + 1j * rng.uniform(0.2, 2.0, n // 2)
+    poles = np.concatenate([pairs, pairs.conj(), rng.uniform(-3.0, -0.3, n % 2)])
+    return TransferFunction(Polynomial(rng.uniform(0.5, 2.0, n)),
+                            Polynomial(np.poly(poles).real))
 
 
 class TestBuildMultiplicationMatrices:
@@ -261,8 +276,8 @@ class TestRealForm:
 
 
 class TestEigenKernelsAgainstLoops:
-    """The read-off against the normal-form oracle, and the array dedupe
-    against the one-tuple-at-a-time loop in oracles.py."""
+    """The read-off against the normal-form oracle, and the batched polish,
+    residual and dedupe against the one-root-at-a-time loops in oracles.py."""
 
     @staticmethod
     def assert_roots_of_quotient(sys, xis):
@@ -296,6 +311,69 @@ class TestEigenKernelsAgainstLoops:
         eig = common_eigen_solutions(build_multiplication_matrices(sys))
         assert len(eig.solutions) == 1 << n and not eig.rejected
         self.assert_roots_of_quotient(sys, [s.xi for s in eig.solutions])
+
+    @staticmethod
+    def assert_polish_matches_loops(sys, starts):
+        """_polish and _residual on the columns of starts equal, byte for
+        byte, loop_polish and loop_residual on each column in place, and F
+        at each root is the F that loop_residual computes."""
+        got, f = _polish(starts, sys)
+        loops = [loop_polish(starts[:, c], sys) for c in range(starts.shape[1])]
+        assert got.tobytes() == np.array(loops).reshape(got.shape).tobytes()
+        want_f = [x * x - sys.m @ x - sys.mu for x in loops]
+        assert f.tobytes() == np.array(want_f).reshape(f.shape).tobytes()
+        m_norm = np.linalg.norm(sys.m, np.inf)
+        want = np.array([loop_residual(x, sys, m_norm) for x in loops])
+        assert _residual(got, f, sys, m_norm).tobytes() == want.tobytes()
+        return got
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_polish_matches_loop_example1(self, example1_matrices):
+        q, _ = _read_off(example1_matrices, 0, Tolerances())
+        self.assert_polish_matches_loops(example1_matrices.system, q)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("family,n", [("real", n) for n in range(1, 9)]
+                             + [("pairs", n) for n in range(2, 9)])
+    def test_polish_matches_loop(self, family, n):
+        rng = np.random.default_rng(60 + n)
+        tf = (random_real_pole_system(rng, n, lo=-6.0) if family == "real"
+              else pole_pair_system(rng, n))
+        mm = pole_matrices(validate(tf))
+        for seed in (0, 1):
+            q, _ = _read_off(mm, seed, Tolerances())
+            assert np.isfinite(q).all()
+            self.assert_polish_matches_loops(mm.system, q)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_polish_singular_and_overflowing_starts(self, dense):
+        """Row 0 of M is m_00 e_0, so 2 x_0 = m_00 makes the Jacobian exactly
+        singular at the start, and 1e200 overflows F; either way the loop
+        returns the start as it is, and so must the batch that holds them.
+        M is diagonal, or dense and in Fortran order: at N = 6 BLAS then
+        rounds M x for a strided x differently than for a contiguous one."""
+        rng = np.random.default_rng(4)
+        m = np.diag([3.0, -5.0, 7.0, 2.0, -4.0, 6.0])
+        if dense:
+            m[1:] += rng.standard_normal((5, 6))
+            m = np.asfortranarray(m)
+        sys = DiagQuadSystem(m)
+        starts = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
+        starts[0, 1::2] = 1.5                      # 2 * 1.5 = m_00
+        got = self.assert_polish_matches_loops(sys, starts)
+        assert got[1::2].tobytes() == starts[:, 1::2].T.tobytes()
+        starts[:, 2] = [1e200, 1.0, 2.0, 3.0, 4.0, 5.0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = self.assert_polish_matches_loops(sys, starts)
+        assert got[2].tobytes() == starts[:, 2].tobytes()
+
+    def test_row_norms_match_linalg_norm(self):
+        rng = np.random.default_rng(6)
+        z = ((rng.standard_normal((500, 7)) + 1j * rng.standard_normal((500, 7)))
+             * np.exp(rng.uniform(-20, 20, (500, 7))))
+        want = np.array([np.linalg.norm(r) for r in z])
+        assert _norms(z).tobytes() == want.tobytes()
 
     @staticmethod
     def dedupe_cases():
@@ -337,6 +415,33 @@ class TestEigenKernelsAgainstLoops:
 
     def test_dedupe_empty(self):
         assert _dedupe([]) == loop_dedupe([], MERGE) == []
+
+    def test_dedupe_random_sets(self, monkeypatch):
+        """300 sets: N = 1..9, roots at scales 1e-12 to 1e5, some conjugated
+        (same norm, distinct), copies moved by up to 3 MERGE of their norm,
+        and one zero root each. Also with blocks of 3 candidate pairs, so the
+        sets span many blocks."""
+        rng = np.random.default_rng(13)
+        sets, n_copies = [], 0
+        for _ in range(300):
+            n, k, c = (int(v) for v in rng.integers(1, [10, 9, 12]))
+            base = ((rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))
+                    * 10.0 ** rng.uniform(-12, 5, (k, 1)))
+            copies = base[rng.integers(0, k, c)]
+            n_copies += c
+            u = rng.uniform(-1, 1, copies.shape) + 1j * rng.uniform(-1, 1, copies.shape)
+            copies += (u / np.abs(u).max(axis=1, keepdims=True)
+                       * rng.uniform(0, 3, (c, 1)) * MERGE
+                       * np.abs(copies).max(axis=1, keepdims=True))
+            xis = np.concatenate([base, base[:k // 2].conj(), copies, np.zeros((1, n))])
+            sets.append([EigenSolution(xi=x, residual=float(i), multiplicity_hint=1)
+                         for i, x in enumerate(xis[rng.permutation(len(xis))])])
+        merged = sum(len(sols) - len(self.assert_same_dedupe(sols)) for sols in sets)
+        # the copies land on both sides of MERGE
+        assert 0.2 * n_copies < merged < 0.8 * n_copies
+        monkeypatch.setattr(stetter, "_PAIR_BLOCK", 3)
+        for sols in sets:
+            self.assert_same_dedupe(sols)
 
 
 class TestEvaluatePolyAtMatrices:
