@@ -25,7 +25,7 @@ from .errors import (
     UnstablePoleError,
     ValidationError,
 )
-from .foc import CriticalPoint, build_M, recover_candidate
+from .foc import CriticalPoint, build_M, recover_candidate, recover_candidates
 from .poly import (
     Polynomial,
     derivative,
@@ -102,6 +102,7 @@ __all__ = [
     "h2_norm",
     "is_hurwitz",
     "recover_candidate",
+    "recover_candidates",
     "reflect",
     "roots",
     "select_global",

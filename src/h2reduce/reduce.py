@@ -3,26 +3,35 @@
 Pipeline: coupling matrix M -> diagonal-quadratic system (mu = 0) ->
 multiplication matrices -> simultaneous eigenvalue tuples -> the root
 ledger (all 2^N roots distinct, exactly one of them the zero root) ->
-recover a candidate model per nonzero tuple -> criterion values -> the
-admissible candidate with the least real positive value, which is the
-global optimum.
+candidate models and criterion values for all nonzero tuples in one batch
+-> the admissible candidate with the least real positive value, which is
+the global optimum. The wall time of each stage goes into the report's
+diagnostics as ``stage_s``.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .errors import (
     DefectiveEigenstructureError,
-    DegenerateLeadingCoefficientError,
+    InputError,
     NoAdmissibleSolutionError,
     NumericalError,
 )
-from .foc import CriticalPoint, build_M, recover_candidate
+from .foc import (
+    CVM_GAP,
+    CriticalPoint,
+    build_M,
+    critical_values,
+    criterion_weights,
+    recover_candidates,
+)
 from .stetter import (
     DiagQuadSystem,
     build_critical_value_matrix,
@@ -32,15 +41,13 @@ from .stetter import (
 from .tf import TransferFunction, ValidatedSystem, h2_distance, h2_norm
 from .tolerances import Tolerances
 
-def criterion_weights(sys: ValidatedSystem) -> np.ndarray:
-    """w_i = 1 / (e(delta_i) d'(delta_i) d(-delta_i))."""
-    return 1.0 / (sys.e_at_poles * sys.dprime_at_poles * sys.d_at_minus_poles)
+# entries of one block of the candidates-by-eigenvalues distance matrix
+_MATCH_BLOCK = 1 << 15
 
 
 def critical_value(sys: ValidatedSystem, xi: Sequence[complex]) -> complex:
     """phi(xi) = sum_i xi_i^3 w_i; the squared H2 error at real critical points."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=complex))
-    return complex(np.sum(xi**3 * criterion_weights(sys)))
+    return complex(critical_values(sys, np.atleast_1d(np.asarray(xi, dtype=complex))))
 
 
 @dataclass(frozen=True)
@@ -97,6 +104,38 @@ def select_global(
     )
 
 
+def _match_critical_values(
+    vals: np.ndarray, phi: np.ndarray, diagnostics: Dict[str, object]
+) -> np.ndarray:
+    """The eigenvalue of A_F nearest each pointwise value phi.
+
+    Raises a NumericalError, carrying ``diagnostics`` and the mismatch, when
+    any of them lies further than CVM_GAP (relative) from its value.
+    """
+    rows = max(1, _MATCH_BLOCK // len(vals))
+    nearest = np.empty(len(phi), dtype=np.intp)
+    for i in range(0, len(phi), rows):
+        nearest[i:i + rows] = np.argmin(np.abs(vals - phi[i:i + rows, None]), axis=1)
+    gap = np.abs(vals[nearest] - phi) / (1.0 + np.abs(phi))
+    bad = np.flatnonzero(gap > CVM_GAP)
+    if bad.size:
+        raise NumericalError(
+            "critical-value matrix eigenvalues do not match the pointwise "
+            f"criterion (relative gap {gap[bad[0]]:.3e}); the matrix path has "
+            "broken down on this instance",
+            diagnostics={**diagnostics, "first_mismatch": int(bad[0]),
+                         "worst_gap": float(gap.max()), "mismatched": int(bad.size)},
+        )
+    return vals[nearest]
+
+
+def _lap(stage_s: Dict[str, float], name: str, start: float) -> float:
+    """Record the wall time since ``start`` as stage ``name``; return now."""
+    now = time.perf_counter()
+    stage_s[name] = now - start
+    return now
+
+
 def solve_reduction(
     sys: ValidatedSystem,
     seed: int = 0,
@@ -114,13 +153,19 @@ def solve_reduction(
     """
     if method not in ("enum", "cvm"):
         raise ValueError(f"unknown method {method!r}")
+    if sys.n < 2:
+        raise InputError(
+            f"reduction by one needs a system of order >= 2, got order {sys.n}")
     tol = tol or Tolerances()
-    t0 = time.perf_counter()
-    diagnostics: Dict[str, object] = {"seed": seed, "method": method}
+    stage_s: Dict[str, float] = {}
+    diagnostics: Dict[str, object] = {"seed": seed, "method": method, "stage_s": stage_s}
+    t0 = t = time.perf_counter()
 
     m = build_M(sys, tol)
+    t = _lap(stage_s, "build_M", t)
     mm = build_multiplication_matrices(DiagQuadSystem(m, conj=sys.conj_perm), tol)
     diagnostics["commutation_defect"] = mm.commutation_defect
+    t = _lap(stage_s, "build_mult", t)
 
     eig = common_eigen_solutions(mm, seed=seed, tol=tol)
     diagnostics["conjugation_defect"] = eig.conjugation_defect
@@ -142,35 +187,18 @@ def solve_reduction(
             "a missing root could hide a lower critical value",
             diagnostics={**diagnostics, **ledger},
         )
+    t = _lap(stage_s, "eigen", t)
 
-    weights = criterion_weights(sys)
-    candidates: List[CriticalPoint] = []
-    degenerate_q0 = 0
-    for xi in (x for x, z in zip(xis, at_zero) if not z):
-        try:
-            cp = recover_candidate(sys, xi, tol)
-        except DegenerateLeadingCoefficientError:
-            degenerate_q0 += 1
-            continue
-        candidates.append(replace(cp, criterion=complex(np.sum(xi**3 * weights))))
-    diagnostics["degenerate_q0_rejections"] = degenerate_q0
-
+    match = None
     if method == "cvm":
-        a_f = build_critical_value_matrix(mm, weights)
-        vals = np.linalg.eigvals(a_f)
+        vals = np.linalg.eigvals(build_critical_value_matrix(mm, criterion_weights(sys)))
+        match = partial(_match_critical_values, vals, diagnostics=diagnostics)
+        t = _lap(stage_s, "cvm", t)
+    candidates, degenerate_q0 = recover_candidates(sys, xis[~at_zero], tol, criterion=match)
+    diagnostics["degenerate_q0_rejections"] = degenerate_q0
+    if method == "cvm":
         diagnostics["cvm_eigenvalues"] = vals
-        matched = []
-        for cp in candidates:
-            k = int(np.argmin(np.abs(vals - cp.criterion)))
-            gap = abs(vals[k] - cp.criterion) / (1.0 + abs(cp.criterion))
-            if gap > 1e-6:
-                raise NumericalError(
-                    "critical-value matrix eigenvalues do not match the "
-                    f"pointwise criterion (relative gap {gap:.3e}); the "
-                    "matrix path has broken down on this instance"
-                )
-            matched.append(replace(cp, criterion=complex(vals[k])))
-        candidates = matched
+    t = _lap(stage_s, "recover", t)
 
     admissible = [cp for cp in candidates if cp.is_admissible]
     norm = h2_norm(sys)
@@ -184,7 +212,8 @@ def solve_reduction(
         cross[idx] = {"distance": dist, "gap": gap,
                       "flagged": gap > tol.cross_check * (1.0 + cp.criterion.real)}
     diagnostics["cross_check"] = cross
-    diagnostics["elapsed_s"] = time.perf_counter() - t0
+    t = _lap(stage_s, "select", t)
+    diagnostics["elapsed_s"] = t - t0
 
     if best is None:
         raise NoAdmissibleSolutionError(

@@ -11,8 +11,9 @@ annihilation defect multiplies the matrices out against the generators
 they must satisfy. The exceptions are the references that
 ``h2reduce.stetter`` must agree with exactly or to rounding: the
 column-by-column sweep that fills the multiplication matrices, the dense
-commutator products, and the one-root-at-a-time Newton polish, residual
-and dedupe loops at the end, which use the library's result type only.
+commutator products, the one-root-at-a-time Newton polish, residual and
+dedupe loops at the end, and the one-tuple-at-a-time candidate recovery,
+which use the library's result types and polynomial arithmetic only.
 
 Polynomials in N variables are plain dicts {multi-index: coefficient}; a
 multi-index is a length-N tuple of exponents.
@@ -28,7 +29,9 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import minimize
 
-from h2reduce.poly import reflect
+from h2reduce.errors import DegenerateLeadingCoefficientError
+from h2reduce.foc import CriticalPoint
+from h2reduce.poly import Polynomial, is_hurwitz, reflect
 from h2reduce.stetter import EigenSolution
 
 
@@ -418,3 +421,69 @@ def loop_residual(xi: np.ndarray, sys, m_norm: float) -> float:
     scale = x_norm * x_norm + m_norm * x_norm + np.linalg.norm(sys.mu, np.inf)
     r = np.linalg.norm(xi * xi - sys.m @ xi - sys.mu, np.inf)
     return float(r / max(scale, 1e-300))
+
+
+def _loop_solve_b(e, d, a, q0):
+    """Least-squares b with b*d = e*a - q0*reflect(a)^2 for one candidate."""
+    n = d.degree
+    ra = reflect(a)
+    rhs = np.zeros(2 * n - 1, dtype=complex)
+    ea = (e * a).coeffs
+    rhs[-len(ea):] += ea
+    ra2 = (ra * ra).coeffs
+    rhs[-len(ra2):] -= q0 * ra2
+    conv = np.zeros((2 * n - 1, n - 1), dtype=complex)
+    for j in range(n - 1):
+        conv[j:j + n + 1, j] = d.coeffs
+    b, *_ = np.linalg.lstsq(conv, rhs, rcond=None)
+    res = np.linalg.norm(conv @ b - rhs) / max(np.linalg.norm(rhs), 1e-300)
+    return Polynomial(b), float(res)
+
+
+def _loop_recover_one(sys, xi, tol):
+    """One tuple: Vandermonde solve, monic normalisation, np.roots Hurwitz
+    test and least-squares numerator, with the criterion left at 0."""
+    n = sys.n
+    v_minus = np.vander(-sys.poles, n, increasing=True)
+    at = np.linalg.solve(v_minus, xi)
+    q0 = at[-1]
+    if abs(q0) <= tol.q0 * np.linalg.norm(at):
+        raise DegenerateLeadingCoefficientError("degenerate leading coefficient")
+    a_desc = (at / q0)[::-1]
+    a_desc[0] = 1.0
+    scale = 1.0 + np.max(np.abs(a_desc))
+    real = bool(np.max(np.abs(a_desc.imag)) <= tol.real * scale
+                and abs(q0.imag) <= tol.real * (1.0 + abs(q0)))
+    if real:
+        a = Polynomial(a_desc.real)
+        q0_eff = q0.real
+        hurwitz = is_hurwitz(a, tol.hurwitz)
+    else:
+        a = Polynomial(a_desc)
+        q0_eff = q0
+        hurwitz = False
+    b, ls_res = _loop_solve_b(sys.tf.numerator, sys.tf.denominator, a, q0_eff)
+    if real and np.iscomplexobj(b.coeffs):
+        im = np.max(np.abs(b.coeffs.imag))
+        if im <= tol.real * (1.0 + np.max(np.abs(b.coeffs))):
+            b = b.real()
+    return a, b, q0_eff, real, hurwitz, ls_res
+
+
+def loop_recover(sys, xis, tol):
+    """Recover a candidate from each row of xis, one tuple at a time, with
+    phi = sum_i w_i xi_i^3 summed per tuple; returns the candidates in row
+    order and the number of tuples dropped for a degenerate q0."""
+    weights = 1.0 / (sys.e_at_poles * sys.dprime_at_poles * sys.d_at_minus_poles)
+    out: List[CriticalPoint] = []
+    degenerate = 0
+    for xi in np.asarray(xis, dtype=complex):
+        try:
+            a, b, q0, real, hurwitz, ls_res = _loop_recover_one(sys, xi, tol)
+        except DegenerateLeadingCoefficientError:
+            degenerate += 1
+            continue
+        out.append(CriticalPoint(
+            xi=xi, a=a, b=b, q0=q0, criterion=complex(np.sum(xi**3 * weights)),
+            is_real=real, is_hurwitz=hurwitz, ls_residual=ls_res))
+    return out, degenerate

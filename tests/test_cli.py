@@ -167,6 +167,35 @@ class TestMainExitCodes:
                     "commutation_defect", "conjugation_defect"):
             assert f"  {key}: " in err
 
+    def test_first_order_input_exits_1(self, capsys):
+        assert main(["--relaxation", "N=1", "alpha=0.5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error (input): ") and "order >= 2" in err
+        assert "Traceback" not in err
+
+    def test_cvm_mismatch_prints_diagnostics(self, tmp_path, capsys):
+        # a generic N = 4 system: A_F's eigenvalues drift from the pointwise
+        # criterion values, and the matrix path stops with exit 4
+        from conftest import random_real_pole_system
+        tf = random_real_pole_system(np.random.default_rng(0), 4)
+        path = write_system(tmp_path, "cvm.txt", [repr(float(c)) for c in tf.numerator.coeffs],
+                            [repr(float(c)) for c in tf.denominator.coeffs])
+        assert main(["--input", path, "--method", "cvm", "--seed", "2"]) == 4
+        err = capsys.readouterr().err
+        assert "do not match the pointwise criterion" in err
+        for key in ("seed", "method", "first_mismatch", "worst_gap", "mismatched"):
+            assert f"  {key}: " in err
+        assert "  seed: 2\n" in err and "  method: cvm\n" in err
+
+    def test_text_report_prints_stage_timings(self, capsys):
+        assert main(["--relaxation", "N=4", "alpha=0.5", "--method", "cvm"]) == 0
+        line = [x for x in capsys.readouterr().out.splitlines()
+                if x.startswith("diagnostics:")][0]
+        stages = line.split("stages: ")[1].split()
+        assert [x.split("=")[0] for x in stages] == [
+            "build_M", "build_mult", "eigen", "cvm", "recover", "select"]
+        assert all(x.endswith("ms") for x in stages)
+
     def test_unknown_flag(self):
         assert main(["--frobnicate"]) == 1
 

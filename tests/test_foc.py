@@ -1,19 +1,24 @@
 import numpy as np
 import pytest
 
-from conftest import random_stable_system
-from oracles import elimination_solutions_n2, foc_residual
+from conftest import random_real_pole_system, random_stable_system
+from oracles import elimination_solutions_n2, foc_residual, loop_recover
 from h2reduce import (
     CriticalPoint,
     DegenerateLeadingCoefficientError,
+    DiagQuadSystem,
     IllConditionedError,
     Polynomial,
     Tolerances,
     TransferFunction,
     build_M,
+    build_multiplication_matrices,
+    common_eigen_solutions,
     eval_poly,
     generate_relaxation,
     recover_candidate,
+    recover_candidates,
+    solve_reduction,
     validate,
 )
 
@@ -150,3 +155,102 @@ class TestFocResidual:
                 continue
             resid = np.abs(x**2 - m @ x)
             assert np.max(resid) <= 1e-6 * (1 + np.max(np.abs(x)) ** 2)
+
+
+def nonzero_roots(sys):
+    """The eigen stage's nonzero tuples of sys, as a (k, N) array."""
+    mm = build_multiplication_matrices(DiagQuadSystem(build_M(sys), conj=sys.conj_perm))
+    xis = np.array([s.xi for s in common_eigen_solutions(mm).solutions])
+    return xis[np.abs(xis).max(axis=1) > 1e-9 * (1.0 + np.abs(xis).max())]
+
+
+def assert_matches_loop(sys, xis):
+    """recover_candidates against the one-tuple-at-a-time oracle: a, q0, phi
+    and the flags bit-identical, b within 1e-13 relative, ls_residual within
+    1e-14 absolute, the same degenerate count and the same order."""
+    tol = Tolerances()
+    got, degenerate = recover_candidates(sys, xis, tol)
+    want, degenerate_ref = loop_recover(sys, xis, tol)
+    assert degenerate == degenerate_ref
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.xi.tobytes() == w.xi.tobytes()
+        assert g.a.coeffs.dtype == w.a.coeffs.dtype
+        assert g.a.coeffs.tobytes() == w.a.coeffs.tobytes()
+        assert type(g.q0) is type(w.q0) and np.asarray(g.q0).tobytes() == np.asarray(w.q0).tobytes()
+        assert np.asarray(g.criterion).tobytes() == np.asarray(w.criterion).tobytes()
+        assert (g.is_real, g.is_hurwitz) == (w.is_real, w.is_hurwitz)
+        assert g.b.coeffs.dtype == w.b.coeffs.dtype and g.b.coeffs.shape == w.b.coeffs.shape
+        assert np.max(np.abs(g.b.coeffs - w.b.coeffs)) <= 1e-13 * np.max(np.abs(w.b.coeffs))
+        assert abs(g.ls_residual - w.ls_residual) <= 1e-14
+    return got, degenerate
+
+
+class TestRecoverCandidates:
+    def test_example1_matches_loop(self, example1_report, example1_system):
+        xis = np.array([cp.xi for cp in example1_report.candidates])
+        assert xis.shape == (511, 9)
+        assert_matches_loop(example1_system, xis)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_random_systems_match_loop(self, n):
+        rng = np.random.default_rng(300 + n)
+        for tf in (random_stable_system(rng, n),
+                   random_real_pole_system(rng, n, lo=-6.0, hi=-0.5)):
+            sys = validate(tf)
+            assert_matches_loop(sys, nonzero_roots(sys))
+            assert_matches_loop(sys, rng.standard_normal((12, n))
+                                + 1j * rng.standard_normal((12, n)))
+
+    def test_mixed_batch(self):
+        sys = validate(random_real_pole_system(np.random.default_rng(15), 4))
+        best = solve_reduction(sys).global_candidate
+
+        def tuple_of(roots, q0=0.7):
+            a = Polynomial(np.poly(roots))
+            return np.array([q0 * eval_poly(a, -p) for p in sys.poles])
+
+        xis = np.array([
+            tuple_of([-1.0, -2.0, -3.0]),                        # fitted badly
+            np.vander(-sys.poles, 4, increasing=True) @ [1.0, 0.5, 0.0, 0.0],  # q0 = 0
+            tuple_of([0.5, -1.0, -2.0]),                         # unstable
+            best.xi,
+            np.random.default_rng(1).standard_normal(4) + 1j,    # complex
+        ])
+        got, degenerate = assert_matches_loop(sys, xis)
+        assert degenerate == 1
+        assert [cp.rejection for cp in got] == ["high-residual", "non-hurwitz", None, "complex"]
+        assert got[2].criterion == best.criterion
+
+    def test_degree_one_denominator(self):
+        sys = two_pole_system()
+        got, _ = assert_matches_loop(sys, nonzero_roots(sys))
+        assert len(got) == 3 and all(cp.a.degree == 1 for cp in got)
+
+    def test_no_tuples(self):
+        sys = two_pole_system()
+        assert recover_candidates(sys, np.zeros((0, 2))) == ([], 0)
+        assert_matches_loop(sys, np.zeros((0, 2)))
+
+    def test_lapack_calls_do_not_grow_with_the_batch(self, monkeypatch):
+        calls = {}
+
+        def counted(mod, name):
+            fn = getattr(mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(mod, name, wrapper)
+
+        for name in ("solve", "lstsq", "eigvals", "eig"):
+            counted(np.linalg, name)
+        counted(np, "roots")
+        sys = validate(random_real_pole_system(np.random.default_rng(15), 4))
+        rng = np.random.default_rng(2)
+        counts = []
+        for k in (3, 60):
+            calls.clear()
+            recover_candidates(sys, rng.standard_normal((k, 4)))
+            counts.append(dict(calls))
+        assert counts[0] == counts[1] == {"solve": 1, "lstsq": 1, "eigvals": 1}

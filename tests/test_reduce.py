@@ -5,11 +5,16 @@ from conftest import random_real_pole_system, random_stable_system
 from h2reduce import (
     CriticalPoint,
     DefectiveEigenstructureError,
+    DiagQuadSystem,
+    InputError,
     NoAdmissibleSolutionError,
     NumericalError,
     Polynomial,
     Tolerances,
     TransferFunction,
+    build_M,
+    build_critical_value_matrix,
+    build_multiplication_matrices,
     critical_value,
     h2_distance,
     select_global,
@@ -17,6 +22,9 @@ from h2reduce import (
     validate,
 )
 from dataclasses import replace
+
+import h2reduce.reduce as reduce_mod
+from h2reduce.foc import CVM_GAP, criterion_weights
 
 
 def make_candidate(phi, real=True, hurwitz=True):
@@ -200,3 +208,49 @@ class TestSolveReduction:
         assert rep.diagnostics["seed"] == 5
         assert len(rep.candidates) + rep.diagnostics["degenerate_q0_rejections"] == 2**3 - 1
         assert rep.approximant.denominator.degree == 2
+
+    def test_first_order_input_rejected_before_build(self, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("build_M reached")
+        monkeypatch.setattr(reduce_mod, "build_M", no_build)
+        sys = validate(TransferFunction(Polynomial([4.0]), Polynomial([1.0, 1.0])))
+        with pytest.raises(InputError, match="order >= 2"):
+            solve_reduction(sys)
+
+    @pytest.mark.parametrize("method", ["enum", "cvm"])
+    def test_stage_timings(self, method):
+        sys = validate(random_real_pole_system(np.random.default_rng(35), 3))
+        d = solve_reduction(sys, method=method).diagnostics
+        stages = ["build_M", "build_mult", "eigen", "recover", "select"]
+        if method == "cvm":
+            stages.insert(3, "cvm")
+        assert list(d["stage_s"]) == stages
+        assert all(v >= 0 for v in d["stage_s"].values())
+        assert sum(d["stage_s"].values()) == pytest.approx(d["elapsed_s"], rel=1e-9)
+
+    def test_cvm_mismatch_carries_diagnostics(self):
+        # a generic N = 4 system: A_F's eigenvalues drift from the pointwise
+        # values. The candidates are those of the enum solve, in its order
+        sys = validate(random_real_pole_system(np.random.default_rng(0), 4))
+        with pytest.raises(NumericalError) as exc:
+            solve_reduction(sys, seed=2, method="cvm")
+        d = exc.value.diagnostics
+        assert d["seed"] == 2 and d["method"] == "cvm"
+        phi = np.array([cp.criterion for cp in solve_reduction(sys, seed=2).candidates])
+        mm = build_multiplication_matrices(DiagQuadSystem(build_M(sys)))
+        vals = np.linalg.eigvals(build_critical_value_matrix(mm, criterion_weights(sys)))
+        gap = np.abs(vals[None, :] - phi[:, None]).min(axis=1) / (1.0 + np.abs(phi))
+        bad = np.flatnonzero(gap > CVM_GAP)
+        assert bad.size > 0
+        assert d["first_mismatch"] == bad[0]
+        assert d["mismatched"] == bad.size
+        assert d["worst_gap"] == pytest.approx(gap.max(), rel=1e-12)
+        assert f"relative gap {gap[bad[0]]:.3e}" in str(exc.value)
+
+    def test_cvm_match_works_in_blocks(self, monkeypatch):
+        sys = validate(random_real_pole_system(np.random.default_rng(22), 3))
+        whole = solve_reduction(sys, method="cvm")
+        monkeypatch.setattr(reduce_mod, "_MATCH_BLOCK", 1)
+        blocked = solve_reduction(sys, method="cvm")
+        assert [cp.criterion for cp in blocked.candidates] == [
+            cp.criterion for cp in whole.candidates]
