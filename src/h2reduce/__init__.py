@@ -10,7 +10,6 @@ the global optimum is certified, not just a local one.
 
 from .errors import (
     BasisSizeError,
-    CommutationDefectError,
     ConjugationDefectError,
     DefectiveEigenstructureError,
     DegenerateLeadingCoefficientError,
@@ -65,7 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisSizeError",
-    "CommutationDefectError",
     "ConjugationDefectError",
     "CriticalPoint",
     "DefectiveEigenstructureError",

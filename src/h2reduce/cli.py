@@ -142,8 +142,8 @@ def _text_report(report: ReductionReport) -> str:
     lines.append("")
     stages = " ".join(f"{k}={1e3 * v:.2f}ms" for k, v in d.get("stage_s", {}).items())
     lines.append(
-        "diagnostics: seed=%s method=%s commutation_defect=%.2e elapsed=%.2fs stages: %s"
-        % (d.get("seed"), d.get("method"), d.get("commutation_defect", 0.0),
+        "diagnostics: seed=%s method=%s conjugation_defect=%.2e elapsed=%.2fs stages: %s"
+        % (d.get("seed"), d.get("method"), d.get("conjugation_defect", 0.0),
            d.get("elapsed_s", 0.0), stages)
     )
     return "\n".join(lines)

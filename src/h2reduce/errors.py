@@ -64,10 +64,6 @@ class IllConditionedError(NumericalError):
         super().__init__(message)
 
 
-class CommutationDefectError(NumericalError):
-    pass
-
-
 class ConjugationDefectError(NumericalError):
     """The combination of multiplication matrices does not respect the
     declared conjugation of the variables, so it has no real form."""

@@ -163,8 +163,7 @@ def solve_reduction(
 
     m = build_M(sys, tol)
     t = _lap(stage_s, "build_M", t)
-    mm = build_multiplication_matrices(DiagQuadSystem(m, conj=sys.conj_perm), tol)
-    diagnostics["commutation_defect"] = mm.commutation_defect
+    mm = build_multiplication_matrices(DiagQuadSystem(m, conj=sys.conj_perm))
     t = _lap(stage_s, "build_mult", t)
 
     eig = common_eigen_solutions(mm, seed=seed, tol=tol)

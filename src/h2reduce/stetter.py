@@ -14,9 +14,9 @@ substitution x_i^2 -> m_i . x + mu_i applies, whose result is a combination
 of the columns b_k / x_i of the A_{X_j}, all of degree one less. So the
 matrices are filled level by level in the degree (popcount) of k, each
 (level, i) block at once, with the same arithmetic per entry as a sweep in
-index order. The commutation check uses the unit columns too: a commutator
-column with neither bit i nor bit j is exactly zero, and the others need
-only products with the blocks B_i and B_j (``_commutator_norm``).
+index order. The matrices commute by construction, since the leading terms
+are coprime; a defective build shows up as missing or spurious roots, which
+the root ledger of ``reduce.solve_reduction`` turns into a numerical error.
 
 The roots are read off the eigenvectors of T^T for a random combination
 T = sum c_i A_{X_i}: each is the evaluation vector (b_k(xi))_k of one root,
@@ -41,7 +41,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import BasisSizeError, CommutationDefectError, ConjugationDefectError
+from .errors import BasisSizeError, ConjugationDefectError
 from .tolerances import Tolerances
 
 # Largest N accepted; the CLI's --cap may not exceed it either.
@@ -118,7 +118,6 @@ class MultiplicationMatrices:
 
     system: DiagQuadSystem
     matrices: np.ndarray          # shape (N, D, D)
-    commutation_defect: float
 
     @property
     def n_vars(self) -> int:
@@ -143,11 +142,8 @@ class EigenSolutionSet:
     conjugation_defect: float     # imaginary part dropped by ``_real_form``
 
 
-def build_multiplication_matrices(
-    sys: DiagQuadSystem, tol: Optional[Tolerances] = None
-) -> MultiplicationMatrices:
-    """Construct all A_{X_i} and verify that they commute."""
-    tol = tol or Tolerances()
+def build_multiplication_matrices(sys: DiagQuadSystem) -> MultiplicationMatrices:
+    """Construct all A_{X_i}."""
     n, dim = sys.n_vars, sys.dim
     # filled as transposes: row beta of mats[i] is column beta of A_{X_i},
     # so each substitution gathers whole contiguous rows
@@ -173,84 +169,8 @@ def build_multiplication_matrices(
             mats[i, gamma | (1 << i)] = blk
     for a in mats:
         a[...] = a.T    # numpy copies the overlapping source first
-
-    cdef = _commutation_defect(mats)
-    if cdef > tol.commutation:
-        raise CommutationDefectError(
-            f"commutation defect {cdef:.3e} exceeds tolerance {tol.commutation:.1e}",
-            diagnostics={"commutation_defect": cdef},
-        )
     mats.setflags(write=False)
-    return MultiplicationMatrices(
-        system=sys,
-        matrices=mats,
-        commutation_defect=cdef,
-    )
-
-
-def _rows(x: np.ndarray, bit: int, side: int) -> np.ndarray:
-    """View of the rows of x whose index has ``bit`` set (side 1) or clear
-    (side 0), shaped (rows >> (bit + 1), 1 << bit, columns)."""
-    return x.reshape(-1, 2, 1 << bit, x.shape[1])[:, side]
-
-
-def _apply(b: np.ndarray, bit: int, y: np.ndarray, out: np.ndarray) -> None:
-    """out = A y for the multiplication matrix A whose columns with ``bit``
-    set are the columns of b, in index order, and whose other columns beta
-    are the unit vectors e_{beta | 2^bit}: b times the rows of y with the
-    bit, plus the rows of y without it moved up by 2^bit."""
-    np.matmul(b, _rows(y, bit, 1).reshape(-1, y.shape[1]), out=out)
-    _rows(out, bit, 1)[...] += _rows(y, bit, 0)
-
-
-def _commutator_norm(ai: np.ndarray, aj: np.ndarray, i: int, j: int,
-                     work: np.ndarray) -> float:
-    """||A_i A_j - A_j A_i||_F for bits i < j, from the blocks B_i, B_j.
-
-    Column c of the commutator is A_i A_j e_c - A_j A_i e_c. With B_i the
-    block of A_i's columns with bit i, it is exactly zero when c has neither
-    bit, A_i B_j e_c - B_j e_{c|2^i} when c has bit j only, B_i e_{c|2^j} -
-    A_j B_i e_c when c has bit i only, and A_i B_j e_c - A_j B_i e_c when it
-    has both. So the norm takes the two products A_i B_j and A_j B_i, each a
-    D x D/2 x D/2 GEMM through ``_apply``, instead of two D x D x D ones.
-    ``work`` holds four D x D/2 arrays: B_i, B_j and the two products, which
-    end up holding the commutator columns.
-    """
-    dim = ai.shape[0]
-    # column index c split as (high, bit j, middle, bit i, low); the columns
-    # with bit i drop its axis, those with bit j drop the other
-    split = (dim, dim >> (j + 1), 2, 1 << (j - i - 1), 2, 1 << i)
-    with_i = (dim, dim >> (j + 1), 2, 1 << (j - i - 1), 1 << i)
-    with_j = (dim, dim >> (j + 1), 1 << (j - i - 1), 2, 1 << i)
-    bi, ba = work[0].reshape(with_i), work[3].reshape(with_i)
-    bj, ab = work[1].reshape(with_j), work[2].reshape(with_j)
-    np.copyto(bi, ai.reshape(split)[:, :, :, :, 1])
-    np.copyto(bj, aj.reshape(split)[:, :, 1])
-    _apply(work[0], i, work[1], out=work[2])
-    _apply(work[1], j, work[0], out=work[3])
-    ab[:, :, :, 1] -= ba[:, :, 1]     # both bits
-    ab[:, :, :, 0] -= bj[:, :, :, 1]  # bit j only
-    ba[:, :, 0] -= bi[:, :, 1]        # bit i only, negated
-    ba[:, :, 1] = 0.0                 # both bits, counted in ab
-    return float(np.sqrt(np.vdot(ab, ab).real + np.vdot(ba, ba).real))
-
-
-def _commutation_defect(mats: np.ndarray) -> float:
-    """max over i < j of ||[A_i, A_j]||_F / (||A_i||_F ||A_j||_F)."""
-    n, dim = mats.shape[0], mats.shape[1]
-    # one matrix at a time: a stacked norm over (N, D, D) would allocate a
-    # temporary as large as all N matrices
-    fro = [np.linalg.norm(a) for a in mats]
-    # blocks copied pair by pair into one workspace: a stored stack of all N
-    # blocks would hold N D^2/2 more entries, and fresh arrays per pair
-    # fragment the heap (2.5 MB more peak RSS over repeated N = 9 solves)
-    work = np.empty((4, dim, dim // 2), dtype=complex)
-    cdef = 0.0
-    for j in range(n):
-        for i in range(j):
-            c = _commutator_norm(mats[i], mats[j], i, j, work)
-            cdef = max(cdef, c / (fro[i] * fro[j]))
-    return float(cdef)
+    return MultiplicationMatrices(system=sys, matrices=mats)
 
 
 def _resid(x: np.ndarray, sys: DiagQuadSystem) -> np.ndarray:
@@ -483,7 +403,7 @@ def common_eigen_solutions(
     permutation P of the basis monomials that it induces, and T^T is
     similar to the real matrix R of ``_real_form``. A real ``eig`` of R gives
     the eigenvectors w, and only the rows 0 and 2^i of u = U w are formed.
-    When R drops an imaginary part above ``tol.commutation``, relative to
+    When R drops an imaginary part above ``tol.conjugation``, relative to
     max|R|, the matrices do not respect the declared conjugation and
     ``ConjugationDefectError`` is raised.
 
@@ -522,10 +442,10 @@ def _read_off(mm: MultiplicationMatrices, seed: int, tol: Tolerances):
     # the complex combination lives only inside _real_form, so it is freed
     # before eig
     r, defect = _real_form(np.tensordot(c, mm.matrices, axes=1).T, partner)
-    if defect > tol.commutation:
+    if defect > tol.conjugation:
         raise ConjugationDefectError(
             f"conjugation defect {defect:.3e} exceeds tolerance "
-            f"{tol.commutation:.1e}: the multiplication matrices do not "
+            f"{tol.conjugation:.1e}: the multiplication matrices do not "
             "respect the declared conjugation of the variables",
             diagnostics={"conjugation_defect": defect},
         )

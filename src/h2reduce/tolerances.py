@@ -24,8 +24,8 @@ class Tolerances:
     # eigen layer
     eig_residual: float = 1e-7        # normwise root residual, stetter._residual
     zero_solution: float = 1e-9       # the one zero root: ||xi|| / (1 + max ||xi||)
-    commutation: float = 1e-10        # pairwise commutator, relative Frobenius;
-                                      # also the conjugation defect of the eigen stage
+    conjugation: float = 1e-10        # imaginary part dropped by the real form of
+                                      # the eigen stage, relative to its max entry
     # selection layer
     value_real: float = 1e-6          # |Im phi| / (1 + |phi|)
     value_cluster: float = 1e-8       # distinctness of critical values

@@ -9,14 +9,28 @@ sys.path.insert(0, str(Path(__file__).parent))
 from h2reduce import Polynomial, TransferFunction, validate
 
 
+# Pole draws before random_real_pole_system gives up. The suite's callers
+# need at most 121 (N = 8 on [-6, -0.5]); N = 8 on the default [-3, -0.5]
+# accepts so rarely that one call ran for a minute.
+MAX_POLE_DRAWS = 10_000
+
+
 def random_real_pole_system(rng: np.random.Generator, n: int,
                             lo=-3.0, hi=-0.5, sep=0.3) -> TransferFunction:
-    """Random stable system with well-separated real poles in [lo, hi]."""
-    while True:
+    """Random stable system with well-separated real poles in [lo, hi].
+
+    Redraws the poles until they lie ``sep`` apart, at most MAX_POLE_DRAWS
+    times; then raises ValueError.
+    """
+    for _ in range(MAX_POLE_DRAWS):
         poles = rng.uniform(lo, hi, size=n)
         poles.sort()
         if n == 1 or np.min(np.diff(poles)) >= sep:
             break
+    else:
+        raise ValueError(
+            f"no {n} poles in [{lo}, {hi}] at least {sep} apart after "
+            f"{MAX_POLE_DRAWS} draws; widen lo")
     den = np.array([1.0])
     for p in poles:
         den = np.convolve(den, [1.0, -p])

@@ -8,12 +8,13 @@ residual multiplies out the defining polynomial identity (with the
 library's polynomial arithmetic only), and the normal-form reference
 rewrites polynomials term by term instead of filling matrix columns; the
 annihilation defect multiplies the matrices out against the generators
-they must satisfy. The exceptions are the references that
-``h2reduce.stetter`` must agree with exactly or to rounding: the
-column-by-column sweep that fills the multiplication matrices, the dense
-commutator products, the one-root-at-a-time Newton polish, residual and
-dedupe loops at the end, and the one-tuple-at-a-time candidate recovery,
-which use the library's result types and polynomial arithmetic only.
+they must satisfy, and the commutation defect multiplies them out against
+each other. The exceptions are the references that ``h2reduce.stetter``
+must agree with exactly or to rounding: the column-by-column sweep that
+fills the multiplication matrices, the one-root-at-a-time Newton polish,
+residual and dedupe loops at the end, and the one-tuple-at-a-time
+candidate recovery, which use the library's result types and polynomial
+arithmetic only.
 
 Polynomials in N variables are plain dicts {multi-index: coefficient}; a
 multi-index is a length-N tuple of exponents.

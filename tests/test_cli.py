@@ -164,7 +164,7 @@ class TestMainExitCodes:
         assert main(["--input", path, "--seed", "1"]) == 4
         err = capsys.readouterr().err
         for key in ("seed", "method", "found", "rejected", "merged", "at_zero",
-                    "commutation_defect", "conjugation_defect"):
+                    "conjugation_defect"):
             assert f"  {key}: " in err
 
     def test_first_order_input_exits_1(self, capsys):

@@ -3,10 +3,12 @@ import pytest
 
 from conftest import random_real_pole_system, random_stable_system
 from h2reduce import (
+    ConjugationDefectError,
     CriticalPoint,
     DefectiveEigenstructureError,
     DiagQuadSystem,
     InputError,
+    MultiplicationMatrices,
     NoAdmissibleSolutionError,
     NumericalError,
     Polynomial,
@@ -16,6 +18,7 @@ from h2reduce import (
     build_critical_value_matrix,
     build_multiplication_matrices,
     critical_value,
+    generate_relaxation,
     h2_distance,
     select_global,
     solve_reduction,
@@ -128,9 +131,41 @@ class TestSolveReduction:
         # every eigenvector is a root found, a rejection or a merged copy
         assert d["found"] + d["rejected"] + d["merged"] == 2**6
         assert d["found"] != 2**6 or d["at_zero"] != 1
-        assert d["commutation_defect"] <= Tolerances().commutation
         assert d["conjugation_defect"] == 0.0       # real poles: T is real
         assert "n_candidates" not in d
+
+    @pytest.mark.parametrize("method", ["enum", "cvm"])
+    @pytest.mark.parametrize("size", [1e-12, 1e-6, 1e-1])
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_defective_build_never_exits_0(self, monkeypatch, n, size, method):
+        # matrices that do not commute, as a faulty fill would leave them:
+        # the columns with bit i of each A_i get a real random perturbation
+        # of the given size relative to that block (Frobenius). The poles
+        # are real, so the identity conjugation leaves R real and the
+        # conjugation check cannot fire; the root ledger must stop the solve
+        # unless the optimum survives
+        sys = validate(generate_relaxation(n, 0.8))
+        phi = solve_reduction(sys).global_candidate.criterion.real
+        build = reduce_mod.build_multiplication_matrices
+        rng = np.random.default_rng(n)
+
+        def defective(dq):
+            mats = np.array(build(dq).matrices)
+            idx = np.arange(dq.dim)
+            for i in range(dq.n_vars):
+                cols = idx[idx & (1 << i) != 0]
+                e = rng.standard_normal((dq.dim, cols.size))
+                mats[i][:, cols] += (size * np.linalg.norm(mats[i][:, cols])
+                                     / np.linalg.norm(e)) * e
+            return MultiplicationMatrices(system=dq, matrices=mats)
+
+        monkeypatch.setattr(reduce_mod, "build_multiplication_matrices", defective)
+        try:
+            rep = solve_reduction(sys, method=method)
+        except NumericalError as exc:
+            assert not isinstance(exc, ConjugationDefectError)
+            return
+        assert rep.global_candidate.criterion.real == pytest.approx(phi, rel=1e-8)
 
     def test_extra_zero_tuples_fail_loudly(self):
         # cond M = 5.6e8: at eigen seeds 1 and 5 the read-off returns 32

@@ -29,9 +29,8 @@ from h2reduce import (
 )
 from h2reduce import stetter
 from h2reduce.stetter import (
-    MERGE, EigenSolution, _combination_weights, _commutation_defect,
-    _commutator_norm, _dedupe, _evaluation_rows, _norms, _polish, _read_off,
-    _real_form, _residual)
+    MERGE, EigenSolution, _combination_weights, _dedupe, _evaluation_rows,
+    _norms, _polish, _read_off, _real_form, _residual)
 
 
 def random_system(rng, n, with_mu=False):
@@ -83,35 +82,12 @@ class TestBuildMultiplicationMatrices:
             ref = reference_multiplication_matrices(sys)
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
-    @pytest.mark.parametrize("n", range(2, 8))
-    def test_commutation_defect_matches_dense(self, n):
-        # perturb only the columns with bit i of each A_i, as rounding in the
-        # fill would; the unit columns stay exact, which the block formula
-        # relies on
-        rng = np.random.default_rng(60 + n)
-        sys = random_system(rng, n, with_mu=True)
-        mats = np.array(build_multiplication_matrices(sys).matrices)
-        idx = np.arange(sys.dim)
-        for i in range(n):
-            cols = idx[idx & (1 << i) != 0]
-            mats[i][:, cols] += 1e-6 * rng.standard_normal((sys.dim, cols.size))
-        got, ref = _commutation_defect(mats), dense_commutation_defect(mats)
-        assert ref > 1e-9
-        assert abs(got - ref) <= 1e-10 * ref
-        # pair by pair too, so an error off the maximising pair shows
-        work = np.empty((4, sys.dim, sys.dim // 2), dtype=complex)
-        for j in range(n):
-            for i in range(j):
-                got = _commutator_norm(mats[i], mats[j], i, j, work)
-                ref = np.linalg.norm(mats[i] @ mats[j] - mats[j] @ mats[i])
-                assert abs(got - ref) <= 1e-10 * ref
-
     def test_commutation(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
             n = int(rng.integers(2, 6))
             mm = build_multiplication_matrices(random_system(rng, n, with_mu=True))
-            assert mm.commutation_defect <= 1e-10
+            assert dense_commutation_defect(mm.matrices) <= 1e-10
 
     def test_generator_annihilation(self):
         rng = np.random.default_rng(14)
