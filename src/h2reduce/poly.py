@@ -14,6 +14,8 @@ import numpy as np
 
 def _trim(coeffs: np.ndarray) -> np.ndarray:
     """Strip leading zero coefficients, keeping at least one entry."""
+    if coeffs[0] != 0:    # every monic polynomial; a view, like the slices below
+        return coeffs[:]
     nz = np.flatnonzero(coeffs)
     if nz.size == 0:
         return coeffs[-1:]

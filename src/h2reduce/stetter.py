@@ -12,11 +12,13 @@ square-free and the column is exactly the unit vector e_{k | 2^i}; only the
 D/2 columns with bit i set, the block B_i, carry numbers. There one
 substitution x_i^2 -> m_i . x + mu_i applies, whose result is a combination
 of the columns b_k / x_i of the A_{X_j}, all of degree one less. So the
-matrices are filled level by level in the degree (popcount) of k, each
-(level, i) block at once, with the same arithmetic per entry as a sweep in
-index order. The matrices commute by construction, since the leading terms
-are coprime; a defective build shows up as missing or spurious roots, which
-the root ledger of ``reduce.solve_reduction`` turns into a numerical error.
+matrices are filled level by level in the degree (popcount) of k, as their
+transposes: for a block of rows gamma of one level, one BLAS product of M
+with the rows gamma of every A_{X_j}^T gives the rows gamma | 2^i of every
+A_{X_i}^T at once, in real arithmetic when M and mu are real. The matrices
+commute by construction, since the leading terms are coprime; a defective
+build shows up as missing or spurious roots, which the root ledger of
+``reduce.solve_reduction`` turns into a numerical error.
 
 The roots are read off the eigenvectors of T^T for a random combination
 T = sum c_i A_{X_i}: each is the evaluation vector (b_k(xi))_k of one root,
@@ -114,10 +116,10 @@ class DiagQuadSystem:
 
 @dataclass(frozen=True)
 class MultiplicationMatrices:
-    """The N commuting D x D matrices A_{X_i}, D = 2^N."""
+    """The N commuting D x D matrices A_{X_i}, D = 2^N; real if M and mu are."""
 
     system: DiagQuadSystem
-    matrices: np.ndarray          # shape (N, D, D)
+    matrices: np.ndarray          # shape (N, D, D); the builder's is a transposed view
 
     @property
     def n_vars(self) -> int:
@@ -142,35 +144,42 @@ class EigenSolutionSet:
     conjugation_defect: float     # imaginary part dropped by ``_real_form``
 
 
+# Entries of one A_{X_i}^T that a block of the build's rows spans.
+_BUILD_BLOCK = 1 << 13
+
+
 def build_multiplication_matrices(sys: DiagQuadSystem) -> MultiplicationMatrices:
-    """Construct all A_{X_i}."""
+    """Construct all A_{X_i}: float64 when M and mu are real, else complex128.
+    ``matrices`` is a transposed view of the contiguous stack of A_{X_i}^T."""
     n, dim = sys.n_vars, sys.dim
-    # filled as transposes: row beta of mats[i] is column beta of A_{X_i},
-    # so each substitution gathers whole contiguous rows
-    mats = np.zeros((n, dim, dim), dtype=complex)
+    real = not (sys.m.imag.any() or sys.mu.imag.any())
+    m, mu = (np.ascontiguousarray(sys.m.real), sys.mu.real) if real else (sys.m, sys.mu)
+    # row beta of stack[i] is column beta of A_{X_i}
+    stack = np.zeros((n, dim, dim), dtype=float if real else complex)
     idx = np.arange(dim)
     clear = ((idx[:, None] >> np.arange(n)) & 1) == 0    # (D, N): bit i of k is 0
     rows, bits = np.nonzero(clear)
-    mats[bits, rows, rows | (1 << bits)] = 1.0
+    stack[bits, rows, rows | (1 << bits)] = 1.0
     level = n - clear.sum(axis=1)
-    # row gamma | 2^i of A_{X_i}^T, for gamma without bit i, reads rows gamma
-    # of every A_{X_j}^T: one degree level below
+    # row gamma | 2^i of A_{X_i}^T, for gamma without bit i, is mu_i e_gamma
+    # plus sum_j m_ij (row gamma of A_{X_j}^T), one degree level below: one
+    # product M X per block of a level's rows. The blocks bound the
+    # temporaries, and they live in two buffers made once: fresh arrays per
+    # block page-fault anew in some heap states, which doubled ex1's build
+    step = max(1, _BUILD_BLOCK // dim)
+    bufs = np.empty((2, n * step * dim), dtype=stack.dtype)
     for p in range(n):
         at = idx[level == p]
-        for i in range(n):
-            gamma = at[clear[at, i]]
-            blk = np.zeros((gamma.size, dim), dtype=complex)
-            blk[idx[:gamma.size], gamma] = sys.mu[i]
-            # numpy scalars: a Python complex takes another multiply loop,
-            # which rounds differently at N = 9
-            for j, mij in enumerate(sys.m[i]):
-                if mij != 0:
-                    blk += mij * mats[j, gamma]
-            mats[i, gamma | (1 << i)] = blk
-    for a in mats:
-        a[...] = a.T    # numpy copies the overlapping source first
-    mats.setflags(write=False)
-    return MultiplicationMatrices(system=sys, matrices=mats)
+        for lo in range(0, at.size, step):
+            gamma = at[lo:lo + step]
+            x, y = (b[:n * gamma.size * dim].reshape(n, gamma.size, dim) for b in bufs)
+            np.take(stack, gamma, axis=1, mode="clip", out=x)
+            np.matmul(m, x.reshape(n, -1), out=y.reshape(n, -1))
+            y[:, idx[:gamma.size], gamma] += mu[:, None]
+            r, i = np.nonzero(clear[gamma])
+            stack[i, gamma[r] | (1 << i)] = y[i, r]
+    stack.setflags(write=False)
+    return MultiplicationMatrices(system=sys, matrices=stack.transpose(0, 2, 1))
 
 
 def _resid(x: np.ndarray, sys: DiagQuadSystem) -> np.ndarray:
@@ -363,10 +372,12 @@ def _real_form(s: np.ndarray, partner: np.ndarray):
     (e_k + e_l)/sqrt2 in column k and i(e_k - e_l)/sqrt2 in column l. Then
     conj(U) = P U, so conj(R) = U^H P conj(S) P U = R. Returns R and
     max|Im(U^H S U)| / max|R|, which is rounding error when S respects P.
-    ``s`` is overwritten.
+    ``s`` is overwritten; a real ``s`` without pairs is R itself.
     """
     k = np.flatnonzero(np.arange(len(partner)) < partner)
     l = partner[k]
+    if not k.size and not np.iscomplexobj(s):
+        return s, 0.0
     _mix_pairs(s, k, l, 1j)        # S U
     _mix_pairs(s.T, k, l, -1j)     # U^H (S U), on the rows
     r = s.real.copy()
@@ -439,9 +450,11 @@ def _read_off(mm: MultiplicationMatrices, seed: int, tol: Tolerances):
     sys = mm.system
     partner = sys.basis_conj()
     c = _combination_weights(sys.conj, seed)
-    # the complex combination lives only inside _real_form, so it is freed
-    # before eig
-    r, defect = _real_form(np.tensordot(c, mm.matrices, axes=1).T, partner)
+    if not c.imag.any():
+        c = c.real    # keeps T^T real for a real stack
+    # T^T straight from the stacked transposes; a complex combination lives
+    # only inside _real_form, so it is freed before eig
+    r, defect = _real_form(np.tensordot(c, mm.matrices.transpose(0, 2, 1), 1), partner)
     if defect > tol.conjugation:
         raise ConjugationDefectError(
             f"conjugation defect {defect:.3e} exceeds tolerance "

@@ -23,6 +23,16 @@ class TestPolynomial:
         assert p.degree == 1
         assert list(p.coeffs) == [1.0, 2.0]
 
+    def test_trim_cases(self):
+        # a nonzero leading coefficient keeps every entry, and the caller's
+        # array stays writeable; leading zeros go; all zeros keep one entry
+        for c in (np.array([1.0, 0.0, -2.0]), np.array([2j, 0.0, 1.0])):
+            p = Polynomial(c)
+            assert p.coeffs.tobytes() == c.tobytes() and p.degree == 2
+            assert c.flags.writeable
+        assert Polynomial(np.array([0j, 3.0, 0.0])).coeffs.tolist() == [3.0, 0.0]
+        assert Polynomial(np.zeros(3, dtype=complex)).coeffs.tolist() == [0j]
+
     def test_zero_polynomial(self):
         assert Polynomial([0.0, 0.0]).is_zero
         assert not Polynomial([1.0]).is_zero

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from oracles import (
 from h2reduce import (
     ConjugationDefectError,
     DiagQuadSystem,
+    MultiplicationMatrices,
     Polynomial,
     Tolerances,
     TransferFunction,
@@ -25,6 +28,7 @@ from h2reduce import (
     build_critical_value_matrix,
     build_multiplication_matrices,
     common_eigen_solutions,
+    generate_relaxation,
     validate,
 )
 from h2reduce import stetter
@@ -67,20 +71,43 @@ class TestBuildMultiplicationMatrices:
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_fill_matches_column_sweep(self, n):
-        # the level-by-level fill does the column sweep's arithmetic in the
-        # same order, so the matrices agree bit for bit; zeros in M exercise
-        # the skipped terms, complex M and mu both signs of every part. N = 9
-        # is where numpy's multiply loops first round differently for a
-        # Python complex and a numpy scalar
+        # the fill takes BLAS products, which sum in their own order, so it
+        # agrees with the column sweep to rounding; zeros in M exercise the
+        # skipped terms, complex M and mu both signs of every part. The real
+        # parts of the same draws build a float64 stack, held to the sweep of
+        # the same system
         rng = np.random.default_rng(50 + n)
         m = rng.uniform(-2, 2, size=(n, n)) + 1j * rng.uniform(-2, 2, size=(n, n))
         m[rng.random((n, n)) < 0.3] = 0.0
         m[0, n - 1] = 0.0
         for mu in (None, rng.uniform(-2, 2, size=n) - 1j * rng.uniform(0, 1, size=n)):
-            sys = DiagQuadSystem(m, mu=mu)
-            got = build_multiplication_matrices(sys).matrices
-            ref = reference_multiplication_matrices(sys)
-            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+            for real in (False, True):
+                sys = (DiagQuadSystem(m.real, mu=None if mu is None else mu.real)
+                       if real else DiagQuadSystem(m, mu=mu))
+                got = build_multiplication_matrices(sys).matrices
+                ref = reference_multiplication_matrices(sys)
+                # at N = 1 the draw zeroes M's one entry, so mu = 0 is real too
+                assert got.dtype == (np.float64 if real or n == 1 and mu is None
+                                     else np.complex128)
+                for g, r in zip(got, ref):
+                    assert np.abs(g - r).max() <= 1e-14 * np.abs(r).max()
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_build_memory_bound(self, real):
+        # the fill's temporaries are bounded by its row blocks: a whole
+        # degree level at once would hold tens of MB beside the stack at N = 9
+        rng = np.random.default_rng(70)
+        m = rng.uniform(-2, 2, size=(9, 9))
+        sys = DiagQuadSystem(m if real else m + 1j * rng.uniform(-2, 2, size=(9, 9)),
+                             mu=rng.uniform(-2, 2, size=9))
+        tracemalloc.start()
+        try:
+            mats = build_multiplication_matrices(sys).matrices
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mats.dtype == (np.float64 if real else np.complex128)
+        assert peak <= mats.nbytes + 8 * 2**20
 
     def test_commutation(self):
         rng = np.random.default_rng(0)
@@ -225,6 +252,27 @@ class TestRealForm:
         rows = np.concatenate(([0], 1 << np.arange(mm.n_vars)))
         assert np.allclose(_evaluation_rows(w, rows, partner), (u @ w)[rows],
                            rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("family", ["real", "pairs"])
+    def test_real_stack_matches_complex(self, family):
+        # real poles give a float64 stack, a real T^T and no pairs to mix;
+        # the same stack cast to complex takes the complex path of
+        # _real_form. Complex poles give a complex128 stack whose pairs mix
+        tf = (generate_relaxation(5, 0.6) if family == "real"
+              else pole_pair_system(np.random.default_rng(5), 5))
+        mm = pole_matrices(validate(tf))
+        assert mm.matrices.dtype == (np.float64 if family == "real" else np.complex128)
+        eigs = [common_eigen_solutions(x) for x in
+                (mm, MultiplicationMatrices(mm.system, mm.matrices.astype(complex)))]
+        for eig in eigs:
+            assert len(eig.solutions) == 32 and not eig.rejected
+            assert all(s.multiplicity_hint == 1 for s in eig.solutions)
+        if family == "real":
+            assert eigs[0].conjugation_defect == 0.0
+        else:
+            assert 0.0 < eigs[0].conjugation_defect <= 1e-12
+        got, ref = ([s.xi for s in eig.solutions] for eig in eigs)
+        assert match_solution_sets(got, ref, 1e-10)
 
     def test_weights_keep_the_real_draw(self):
         for seed in range(5):
