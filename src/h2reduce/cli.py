@@ -224,10 +224,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# built once: parse_args keeps no state between calls, and building the
+# parser costs more than parsing with it
+_PARSER = build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags; remap to the malformed-input code
         return 0 if exc.code == 0 else 1

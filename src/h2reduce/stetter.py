@@ -9,20 +9,24 @@ variable x_i (0-based); index 0 is the constant monomial.
 Column k of A_{X_i} holds the square-free normal form of x_i * b_k, where
 b_k is the k-th basis monomial. If b_k lacks x_i, x_i * b_k is itself
 square-free and the column is exactly the unit vector e_{k | 2^i}; only the
-D/2 columns with bit i set, the block B_i, carry numbers. There one
-substitution x_i^2 -> m_i . x + mu_i applies, whose result is a combination
-of the columns b_k / x_i of the A_{X_j}, all of degree one less. So the
-matrices are filled level by level in the degree (popcount) of k, as their
-transposes: for a block of rows gamma of one level, one BLAS product of M
-with the rows gamma of every A_{X_j}^T gives the rows gamma | 2^i of every
-A_{X_i}^T at once, in real arithmetic when M and mu are real. The matrices
-commute by construction, since the leading terms are coprime; a defective
-build shows up as missing or spurious roots, which the root ledger of
+D/2 columns with bit i set, the block B_i, carry numbers, and only they are
+stored, as the rows of B_i^T. There one substitution x_i^2 -> m_i . x + mu_i
+applies, whose result is a combination of the columns b_k / x_i of the
+A_{X_j}, all of degree one less. So the blocks are filled level by level in
+the degree (popcount) of k: for a block of rows gamma of one level, one BLAS
+product of M with the rows gamma of every A_{X_j}^T gives the rows
+gamma | 2^i of every A_{X_i}^T at once, in real arithmetic when M and mu are
+real. A row gamma of A_{X_j}^T is a stored row when gamma has bit j, and
+otherwise the unit row e_{gamma | 2^j}, which enters the product as the
+coefficient m_ij added at column gamma | 2^j. The matrices commute by
+construction, since the leading terms are coprime; a defective build shows
+up as missing or spurious roots, which the root ledger of
 ``reduce.solve_reduction`` turns into a numerical error.
 
 The roots are read off the eigenvectors of T^T for a random combination
 T = sum c_i A_{X_i}: each is the evaluation vector (b_k(xi))_k of one root,
-so xi_i is its entry 2^i over its entry 0. The system is real up to the
+so xi_i is its entry 2^i over its entry 0. T^T is summed from the blocks,
+its N D / 2 unit entries added on top. The system is real up to the
 conjugation of its variables (for the H2 problem, the pairing of conjugate
 poles), and the weights c respect it, so T^T is unitarily similar to a real
 matrix R through a sparse U that mixes each pair of conjugate monomials.
@@ -39,6 +43,7 @@ so a caller can tell when roots are missing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional
 
 import numpy as np
@@ -114,12 +119,32 @@ class DiagQuadSystem:
         return bits @ (1 << self.conj)
 
 
+def _clear_bits(n: int) -> np.ndarray:
+    """The (2^N, N) mask of the basis indices k whose bit i is 0."""
+    return ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1) == 0
+
+
+def _bit_rows(a: np.ndarray, i: int) -> np.ndarray:
+    """The rows of a (2^N, ...) array whose index has bit i set, in index
+    order, as a view of shape (2^(N - i - 1), 2^i, ...)."""
+    return a.reshape(-1, 2, 1 << i, *a.shape[1:])[:, 1]
+
+
 @dataclass(frozen=True)
 class MultiplicationMatrices:
-    """The N commuting D x D matrices A_{X_i}, D = 2^N; real if M and mu are."""
+    """The N commuting D x D matrices A_{X_i}, D = 2^N, stored as the blocks
+    the build computes; real if M and mu are.
+
+    Column k of A_{X_i} is the unit vector e_{k | 2^i} when k lacks bit i,
+    and those columns stay implicit. ``blocks[i]`` holds the other D/2
+    columns as rows: row r is column gamma | 2^i of A_{X_i}, for the r-th
+    gamma without bit i in increasing order. So the N blocks take
+    N 2^(2N-1) entries, half of the dense stack. ``matrix`` and
+    ``matrices`` expand them, for the critical-value matrix and for tests.
+    """
 
     system: DiagQuadSystem
-    matrices: np.ndarray          # shape (N, D, D); the builder's is a transposed view
+    blocks: np.ndarray            # shape (N, D/2, D)
 
     @property
     def n_vars(self) -> int:
@@ -128,6 +153,22 @@ class MultiplicationMatrices:
     @property
     def dim(self) -> int:
         return self.system.dim
+
+    def matrix(self, i: int) -> np.ndarray:
+        """A_{X_i}, expanded from its block: a transposed view of a fresh
+        D x D array."""
+        dim = self.dim
+        at = np.zeros((dim, dim), dtype=self.blocks.dtype)
+        rows = _bit_rows(at, i)
+        rows[...] = self.blocks[i].reshape(rows.shape)
+        gamma = np.flatnonzero(_clear_bits(self.n_vars)[:, i])
+        at[gamma, gamma | (1 << i)] = 1.0
+        return at.T
+
+    @property
+    def matrices(self) -> np.ndarray:
+        """The (N, D, D) stack of all A_{X_i}, expanded afresh on each access."""
+        return np.stack([self.matrix(i) for i in range(self.n_vars)])
 
 
 @dataclass(frozen=True)
@@ -148,38 +189,84 @@ class EigenSolutionSet:
 _BUILD_BLOCK = 1 << 13
 
 
+@lru_cache(maxsize=None)
+def _fill_plan(n: int):
+    """Index arrays of the fill at N = n; they depend on n alone.
+
+    Row j D/2 + (k with bit j dropped) of the fill's array holds row k of
+    A_{X_j}^T if k has bit j, else row k | 2^j; row n D/2 is zero. The rows
+    gamma are taken in ``order``, sorted by degree level, in blocks of at
+    most ``_BUILD_BLOCK / D`` rows of one level: block k is positions
+    bounds[k]:bounds[k + 1] of ``order``. Returns
+    - ``order``;
+    - ``src`` (N, D): for each j and position, the row that X takes, the
+      zero row where gamma lacks bit j;
+    - for each pair (gamma, i) with bit i clear in gamma, grouped by block
+      (block k has pairs cuts[k]:cuts[k + 1]): i, the row of gamma in its
+      block, the row of the array that the pair fills, and the unit column
+      gamma | 2^i;
+    - ``bounds`` and ``cuts``, as tuples.
+
+    The cache holds one plan per N <= N_CAP, read-only, as every caller
+    shares it.
+    """
+    dim = 1 << n
+    half = dim // 2
+    idx, var = np.arange(dim), np.arange(n)[:, None]
+    clear = _clear_bits(n)
+    dest = var * half + (((idx >> (var + 1)) << var) | (idx & ((1 << var) - 1)))
+    level = n - clear.sum(axis=1)
+    order = np.argsort(level, kind="stable")
+    src = np.where(clear.T, n * half, dest)[:, order]
+    r, i = np.nonzero(clear[order])
+    gamma = order[r]
+    # the last position, with every bit set, is no gamma
+    step = max(1, _BUILD_BLOCK // dim)
+    bounds, end = [], 0
+    for size in np.bincount(level)[:n].tolist():
+        bounds.extend(range(end, end + size, step))
+        end += size
+    bounds.append(end)
+    cuts = np.searchsorted(r, bounds)
+    arrays = (order, src, i, r - np.repeat(bounds[:-1], np.diff(cuts)),
+              dest[i, gamma], gamma | (1 << i))
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays + (tuple(bounds), tuple(cuts.tolist()))
+
+
 def build_multiplication_matrices(sys: DiagQuadSystem) -> MultiplicationMatrices:
-    """Construct all A_{X_i}: float64 when M and mu are real, else complex128.
-    ``matrices`` is a transposed view of the contiguous stack of A_{X_i}^T."""
+    """Construct the blocks of all A_{X_i}: float64 when M and mu are real,
+    else complex128."""
     n, dim = sys.n_vars, sys.dim
     real = not (sys.m.imag.any() or sys.mu.imag.any())
     m, mu = (np.ascontiguousarray(sys.m.real), sys.mu.real) if real else (sys.m, sys.mu)
-    # row beta of stack[i] is column beta of A_{X_i}
-    stack = np.zeros((n, dim, dim), dtype=float if real else complex)
-    idx = np.arange(dim)
-    clear = ((idx[:, None] >> np.arange(n)) & 1) == 0    # (D, N): bit i of k is 0
-    rows, bits = np.nonzero(clear)
-    stack[bits, rows, rows | (1 << bits)] = 1.0
-    level = n - clear.sum(axis=1)
+    # the rows of all N blocks, then one zero row
+    rows = np.zeros((n * dim // 2 + 1, dim), dtype=float if real else complex)
     # row gamma | 2^i of A_{X_i}^T, for gamma without bit i, is mu_i e_gamma
     # plus sum_j m_ij (row gamma of A_{X_j}^T), one degree level below: one
-    # product M X per block of a level's rows. The blocks bound the
-    # temporaries, and they live in two buffers made once: fresh arrays per
-    # block page-fault anew in some heap states, which doubled ex1's build
+    # product M X per block of a level's rows. Row gamma of A_{X_j}^T is
+    # stored when gamma has bit j; otherwise it is the unit row
+    # e_{gamma | 2^j}, which X holds as the zero row, and m_ij goes onto the
+    # product at column gamma | 2^j, where every stored row of X is zero.
+    order, src, i, r, dest, unit, bounds, cuts = _fill_plan(n)
+    coef = m[:, i]
     step = max(1, _BUILD_BLOCK // dim)
-    bufs = np.empty((2, n * step * dim), dtype=stack.dtype)
-    for p in range(n):
-        at = idx[level == p]
-        for lo in range(0, at.size, step):
-            gamma = at[lo:lo + step]
-            x, y = (b[:n * gamma.size * dim].reshape(n, gamma.size, dim) for b in bufs)
-            np.take(stack, gamma, axis=1, mode="clip", out=x)
-            np.matmul(m, x.reshape(n, -1), out=y.reshape(n, -1))
-            y[:, idx[:gamma.size], gamma] += mu[:, None]
-            r, i = np.nonzero(clear[gamma])
-            stack[i, gamma[r] | (1 << i)] = y[i, r]
-    stack.setflags(write=False)
-    return MultiplicationMatrices(system=sys, matrices=stack.transpose(0, 2, 1))
+    block = np.arange(step)
+    # The blocks bound the temporaries, and they live in two buffers made
+    # once: fresh arrays per block page-fault anew in some heap states,
+    # which doubled ex1's build
+    bufs = np.empty((2, n * step * dim), dtype=rows.dtype)
+    for lo, hi, a, b in zip(bounds, bounds[1:], cuts, cuts[1:]):
+        x, y = (buf[:n * (hi - lo) * dim].reshape(n, hi - lo, dim) for buf in bufs)
+        np.take(rows, src[:, lo:hi].ravel(), axis=0, mode="clip", out=x.reshape(-1, dim))
+        np.matmul(m, x.reshape(n, -1), out=y.reshape(n, -1))
+        y[:, block[:hi - lo], order[lo:hi]] += mu[:, None]
+        y[:, r[a:b], unit[a:b]] += coef[:, a:b]
+        rows[dest[a:b]] = y[i[a:b], r[a:b]]
+    blocks = rows[:-1].reshape(n, dim // 2, dim)
+    blocks.setflags(write=False)
+    return MultiplicationMatrices(system=sys, blocks=blocks)
 
 
 def _resid(x: np.ndarray, sys: DiagQuadSystem) -> np.ndarray:
@@ -451,10 +538,10 @@ def _read_off(mm: MultiplicationMatrices, seed: int, tol: Tolerances):
     partner = sys.basis_conj()
     c = _combination_weights(sys.conj, seed)
     if not c.imag.any():
-        c = c.real    # keeps T^T real for a real stack
-    # T^T straight from the stacked transposes; a complex combination lives
-    # only inside _real_form, so it is freed before eig
-    r, defect = _real_form(np.tensordot(c, mm.matrices.transpose(0, 2, 1), 1), partner)
+        c = c.real    # keeps T^T real for real blocks
+    # a complex combination lives only inside _real_form, so it is freed
+    # before eig
+    r, defect = _real_form(_combination_transpose(mm, c), partner)
     if defect > tol.conjugation:
         raise ConjugationDefectError(
             f"conjugation defect {defect:.3e} exceeds tolerance "
@@ -469,19 +556,36 @@ def _read_off(mm: MultiplicationMatrices, seed: int, tol: Tolerances):
         return v[1:] / v[0], defect
 
 
+def _combination_transpose(mm: MultiplicationMatrices, c: np.ndarray) -> np.ndarray:
+    """T^T = sum c_i A_{X_i}^T from the blocks: the rows with bit i of
+    A_{X_i}^T are its block, one scaled add each, and the unit entries
+    c_i at (gamma, gamma | 2^i) go on top."""
+    n, dim = mm.n_vars, mm.dim
+    t = np.zeros((dim, dim), dtype=np.result_type(c, mm.blocks))
+    for i in range(n):
+        rows = _bit_rows(t, i)
+        rows += c[i] * mm.blocks[i].reshape(rows.shape)
+    gamma, bits = np.nonzero(_clear_bits(n))
+    t[gamma, gamma | (1 << bits)] += c[bits]
+    return t
+
+
 def build_critical_value_matrix(
     mm: MultiplicationMatrices, weights: np.ndarray
 ) -> np.ndarray:
-    """A_F = sum_i weights_i A_{X_i}^3.
+    """A_F = sum_i weights_i A_{X_i}^3, expanding one A_{X_i} at a time;
+    float64 when the weights and the blocks are real.
 
     Its eigenvalues are the values of the weighted cubic at every solution,
     with the quotient-ring multiplicity structure.
     """
     weights = np.asarray(weights, dtype=complex)
+    if not weights.imag.any():
+        weights = weights.real
     dim = mm.dim
-    out = np.zeros((dim, dim), dtype=complex)
+    out = np.zeros((dim, dim), dtype=np.result_type(weights, mm.blocks))
     for i in range(mm.n_vars):
         if weights[i] != 0:
-            a = mm.matrices[i]
+            a = mm.matrix(i)
             out += weights[i] * (a @ a @ a)
     return out

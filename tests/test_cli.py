@@ -281,6 +281,22 @@ class TestInputFormEquivalence:
         assert e2 == pytest.approx(e1, rel=1e-6)
 
 
+class TestParserReuse:
+    def test_calls_see_only_their_own_flags(self, capsys):
+        # one parser serves every call in a process: no flag of one call,
+        # nor its default, may carry over to the next
+        assert main(["--relaxation", "N=4", "alpha=0.5", "--seed", "3", "--method", "cvm",
+                     "--output", "structured", "--cap", "4"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "seed = 3" in out and "method = cvm" in out
+        assert main(["--relaxation", "N=6", "alpha=0.5"]) == 0
+        out = capsys.readouterr().out
+        assert "seed=0 method=enum" in out and "format = " not in out
+        assert main(["--relaxation", "N=4", "alpha=0.5", "--output", "structured"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "seed = 0" in out and "method = enum" in out
+
+
 class TestLibraryImport:
     def test_import_leaves_cli_unloaded(self):
         # the library must not depend on its command-line front end
@@ -291,3 +307,19 @@ class TestLibraryImport:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=120)
         assert out.stdout.split() == ["False", "False"]
+
+    def test_solve_without_scipy(self):
+        # scipy is a test dependency only: the library and the CLI solve with
+        # every import of it failing
+        src = str(Path(h2reduce.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = ("import sys; sys.modules['scipy'] = None\n"
+                "from h2reduce import generate_relaxation, solve_reduction, validate\n"
+                "from h2reduce.cli import main\n"
+                "rep = solve_reduction(validate(generate_relaxation(3, 0.5)))\n"
+                "print(rep.global_error > 0, main(['--relaxation', 'N=3', 'alpha=0.5',"
+                " '--method', 'cvm', '--output', 'structured']))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.split()[-2:] == ["True", "0"]

@@ -150,14 +150,12 @@ class TestSolveReduction:
         rng = np.random.default_rng(n)
 
         def defective(dq):
-            mats = np.array(build(dq).matrices)
-            idx = np.arange(dq.dim)
+            # blocks[i] holds the columns with bit i of A_i as rows
+            blocks = np.array(build(dq).blocks)
             for i in range(dq.n_vars):
-                cols = idx[idx & (1 << i) != 0]
-                e = rng.standard_normal((dq.dim, cols.size))
-                mats[i][:, cols] += (size * np.linalg.norm(mats[i][:, cols])
-                                     / np.linalg.norm(e)) * e
-            return MultiplicationMatrices(system=dq, matrices=mats)
+                e = rng.standard_normal((dq.dim, dq.dim // 2))
+                blocks[i] += (size * np.linalg.norm(blocks[i]) / np.linalg.norm(e)) * e.T
+            return MultiplicationMatrices(system=dq, blocks=blocks)
 
         monkeypatch.setattr(reduce_mod, "build_multiplication_matrices", defective)
         try:

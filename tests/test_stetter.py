@@ -32,6 +32,7 @@ from h2reduce import (
     validate,
 )
 from h2reduce import stetter
+from h2reduce.foc import criterion_weights
 from h2reduce.stetter import (
     MERGE, EigenSolution, _combination_weights, _dedupe, _evaluation_rows,
     _norms, _polish, _read_off, _real_form, _residual)
@@ -94,20 +95,45 @@ class TestBuildMultiplicationMatrices:
 
     @pytest.mark.parametrize("real", [False, True])
     def test_build_memory_bound(self, real):
-        # the fill's temporaries are bounded by its row blocks: a whole
-        # degree level at once would hold tens of MB beside the stack at N = 9
+        # only the blocks are stored, and the fill's temporaries are bounded
+        # by its row blocks: the dense (N, D, D) stack alone would exceed
+        # the bound at N = 9, as would a whole degree level at once
         rng = np.random.default_rng(70)
         m = rng.uniform(-2, 2, size=(9, 9))
         sys = DiagQuadSystem(m if real else m + 1j * rng.uniform(-2, 2, size=(9, 9)),
                              mu=rng.uniform(-2, 2, size=9))
         tracemalloc.start()
         try:
-            mats = build_multiplication_matrices(sys).matrices
+            mm = build_multiplication_matrices(sys)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert mats.dtype == (np.float64 if real else np.complex128)
-        assert peak <= mats.nbytes + 8 * 2**20
+        assert mm.blocks.dtype == (np.float64 if real else np.complex128)
+        assert mm.blocks.shape == (9, 256, 512)
+        assert peak <= mm.blocks.nbytes + 4 * 2**20
+        assert 9 * 512 * 512 * mm.blocks.itemsize > mm.blocks.nbytes + 4 * 2**20
+
+    @pytest.mark.parametrize("family", ["real", "complex", "pairs"])
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_combination_matches_dense(self, family, n):
+        # T^T summed from the blocks, unit entries on top, against the
+        # combination of the expanded matrices; it sums in another order
+        rng = np.random.default_rng(80 + n)
+        if family == "pairs":
+            mm = pole_matrices(validate(pole_pair_system(rng, n)))
+        else:
+            m = rng.uniform(-2, 2, size=(n, n))
+            if family == "complex":
+                m = m + 1j * rng.uniform(-2, 2, size=(n, n))
+            mm = build_multiplication_matrices(DiagQuadSystem(m, mu=rng.uniform(-2, 2, n)))
+        for seed in (0, 1):
+            c = _combination_weights(mm.system.conj, seed)
+            if family == "real":
+                c = c.real
+            want = np.tensordot(c, mm.matrices, axes=1).T
+            got = stetter._combination_transpose(mm, c)
+            assert got.dtype == want.dtype
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_commutation(self):
         rng = np.random.default_rng(0)
@@ -255,15 +281,15 @@ class TestRealForm:
 
     @pytest.mark.parametrize("family", ["real", "pairs"])
     def test_real_stack_matches_complex(self, family):
-        # real poles give a float64 stack, a real T^T and no pairs to mix;
-        # the same stack cast to complex takes the complex path of
-        # _real_form. Complex poles give a complex128 stack whose pairs mix
+        # real poles give float64 blocks, a real T^T and no pairs to mix;
+        # the same blocks cast to complex take the complex path of
+        # _real_form. Complex poles give complex128 blocks whose pairs mix
         tf = (generate_relaxation(5, 0.6) if family == "real"
               else pole_pair_system(np.random.default_rng(5), 5))
         mm = pole_matrices(validate(tf))
-        assert mm.matrices.dtype == (np.float64 if family == "real" else np.complex128)
+        assert mm.blocks.dtype == (np.float64 if family == "real" else np.complex128)
         eigs = [common_eigen_solutions(x) for x in
-                (mm, MultiplicationMatrices(mm.system, mm.matrices.astype(complex)))]
+                (mm, MultiplicationMatrices(mm.system, mm.blocks.astype(complex)))]
         for eig in eigs:
             assert len(eig.solutions) == 32 and not eig.rejected
             assert all(s.multiplicity_hint == 1 for s in eig.solutions)
@@ -497,3 +523,23 @@ class TestCriticalValueMatrix:
         for x in elimination_solutions_n2(m):
             val = w[0] * x[0] ** 3 + w[1] * x[1] ** 3
             assert np.min(np.abs(eigs - val)) <= 1e-6 * (1 + abs(val))
+
+    @pytest.mark.parametrize("n,alpha", [(4, 0.5), (4, 0.8), (5, 0.6), (6, 0.6)])
+    def test_relaxation_matrix_is_real(self, n, alpha):
+        # real poles: real weights and real blocks keep A_F float64; its
+        # eigenvalues are those that complex blocks give, to rounding. At
+        # larger alpha the spectrum of A_F is ill-conditioned, and the two
+        # eig paths drift apart by up to 6e-9 of its scale at N = 6, 7
+        sys = validate(generate_relaxation(n, alpha))
+        mm = pole_matrices(sys)
+        w = criterion_weights(sys)
+        a_f = build_critical_value_matrix(mm, w)
+        assert a_f.dtype == np.float64
+        ref_f = build_critical_value_matrix(
+            MultiplicationMatrices(mm.system, mm.blocks.astype(complex)), w)
+        assert ref_f.dtype == np.complex128
+        # every eigenvalue of each lies next to one of the other; values at
+        # near-equal roots cluster, so they are not paired one to one
+        got, ref = np.linalg.eigvals(a_f), np.linalg.eigvals(ref_f)
+        gap = np.abs(got[:, None] - ref[None, :])
+        assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= 1e-10 * np.abs(ref).max()
