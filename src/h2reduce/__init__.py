@@ -33,12 +33,7 @@ from .poly import (
     reflect,
     roots,
 )
-from .reduce import (
-    ReductionReport,
-    critical_value,
-    select_global,
-    solve_reduction,
-)
+from .reduce import ReductionReport, select_global, solve_reduction
 from .stetter import (
     DiagQuadSystem,
     EigenSolution,
@@ -91,7 +86,6 @@ __all__ = [
     "build_critical_value_matrix",
     "build_multiplication_matrices",
     "common_eigen_solutions",
-    "critical_value",
     "derivative",
     "eval_poly",
     "from_pole_residue",

@@ -37,12 +37,21 @@ from .tf import (
 DEFAULT_CAP = 9
 
 
-def _parse_floats(text: str) -> List[float]:
+def _finite(values: np.ndarray, text: str) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise InputError(f"non-finite number in {text!r}")
+    return values
+
+
+def _parse_floats(text: str) -> np.ndarray:
     toks = text.replace(",", " ").split()
+    if not toks:
+        raise InputError("empty coefficient list")
     try:
-        return [float(t) for t in toks]
+        values = np.array([float(t) for t in toks])
     except ValueError as exc:
         raise InputError(f"bad number in {text!r}: {exc}") from exc
+    return _finite(values, text)
 
 
 def _parse_complex_pairs(text: str) -> np.ndarray:
@@ -57,7 +66,7 @@ def _parse_complex_pairs(text: str) -> np.ndarray:
             out.append(complex(float(parts[0]), float(parts[1])))
         except ValueError as exc:
             raise InputError(f"bad complex pair {tok!r}: {exc}") from exc
-    return np.array(out)
+    return _finite(np.array(out), text)
 
 
 def parse_system_file(path: str) -> TransferFunction:

@@ -59,10 +59,6 @@ class NumericalError(H2ReduceError):
 class IllConditionedError(NumericalError):
     """The Vandermonde pair behind the coupling matrix is too ill-conditioned."""
 
-    def __init__(self, message, residual=None):
-        self.residual = residual
-        super().__init__(message)
-
 
 class ConjugationDefectError(NumericalError):
     """The combination of multiplication matrices does not respect the

@@ -22,11 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DegenerateLeadingCoefficientError, IllConditionedError
 from .poly import Polynomial
 from .tf import ValidatedSystem
-from .tolerances import Tolerances
-
-LS_REJECT = 1e-6  # admissibility floor for the numerator least-squares fit
-CVM_GAP = 1e-6    # largest relative gap between a critical-value-matrix
-                  # eigenvalue and the pointwise criterion value it matches
+from .tolerances import TOL
 
 
 @dataclass(frozen=True)
@@ -50,7 +46,7 @@ class CriticalPoint:
             return "complex"
         if not self.is_hurwitz:
             return "non-hurwitz"
-        if self.ls_residual > LS_REJECT:
+        if self.ls_residual > TOL.ls_reject:
             return "high-residual"
         return None
 
@@ -68,31 +64,28 @@ def _vander(nodes: np.ndarray) -> np.ndarray:
     return np.vander(nodes, len(nodes), increasing=True)
 
 
-def build_M(sys: ValidatedSystem, tol: Optional[Tolerances] = None) -> np.ndarray:
+def build_M(sys: ValidatedSystem) -> np.ndarray:
     """N x N coupling matrix M with M V(-d) = diag(e(d)) V(d).
 
     Solved column-block-wise through the transposed Vandermonde system
     (no explicit inverse); the defining relation is re-checked and an
     ill-conditioning error raised if its relative residual exceeds
-    ``tol.build_m_residual``.
+    ``TOL.build_m_residual``.
     """
-    tol = tol or Tolerances()
     v_plus = _vander(sys.poles)
     v_minus = _vander(-sys.poles)
     rhs = sys.e_at_poles[:, None] * v_plus
     # M v_minus = rhs  <=>  v_minus^T M^T = rhs^T
     m = np.linalg.solve(v_minus.T, rhs.T).T
     resid = np.linalg.norm(m @ v_minus - rhs) / np.linalg.norm(rhs)
-    if resid > tol.build_m_residual:
+    if resid > TOL.build_m_residual:
         raise IllConditionedError(
             f"coupling matrix residual {resid:.3e} exceeds "
-            f"{tol.build_m_residual:.1e}; the Vandermonde pair is too "
+            f"{TOL.build_m_residual:.1e}; the Vandermonde pair is too "
             "ill-conditioned for a trustworthy answer",
-            residual=float(resid),
+            diagnostics={"build_m_residual": float(resid)},
         )
     return m
-
-
 
 
 def criterion_weights(sys: ValidatedSystem) -> np.ndarray:
@@ -118,7 +111,6 @@ def _shifts(c: np.ndarray, rows: int) -> np.ndarray:
 def recover_candidates(
     sys: ValidatedSystem,
     xis: np.ndarray,
-    tol: Optional[Tolerances] = None,
     criterion: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> Tuple[List[CriticalPoint], int]:
     """Map each row xi of the (k, N) array xis back to a candidate (a, b, q0).
@@ -135,20 +127,19 @@ def recover_candidates(
     Returns the candidates in row order and the number of rows dropped for
     a degenerate q0.
     """
-    tol = tol or Tolerances()
     n = sys.n
     xis = np.asarray(xis, dtype=complex)
     if xis.ndim != 2 or xis.shape[1] != n:
         raise ValueError("xis must hold one tuple per row and one entry per pole")
     at = np.linalg.solve(_vander(-sys.poles), xis.T).T    # ascending coeffs of atilde
     q0 = at[:, -1]
-    keep = np.abs(q0) > tol.q0 * np.linalg.norm(at, axis=1)
+    keep = np.abs(q0) > TOL.q0 * np.linalg.norm(at, axis=1)
     xis, at, q0 = xis[keep], at[keep], q0[keep]
     a = (at / q0[:, None])[:, ::-1]
     # numpy divides by multiplying with 1/q0, which can leave 1 - eps here
     a[:, 0] = 1.0
-    real = ((np.abs(a.imag).max(axis=1) <= tol.real * (1.0 + np.abs(a).max(axis=1)))
-            & (np.abs(q0.imag) <= tol.real * (1.0 + np.abs(q0))))
+    real = ((np.abs(a.imag).max(axis=1) <= TOL.real * (1.0 + np.abs(a).max(axis=1)))
+            & (np.abs(q0.imag) <= TOL.real * (1.0 + np.abs(q0))))
     a[real] = a[real].real
     q0[real] = q0[real].real
 
@@ -157,7 +148,7 @@ def recover_candidates(
     comp[:, 0, :] = -a[real, 1:].real
     comp[:, np.arange(1, n - 1), np.arange(n - 2)] = 1.0
     hurwitz = np.zeros(len(a), dtype=bool)
-    hurwitz[real] = np.all(np.linalg.eigvals(comp).real < -tol.hurwitz, axis=1)
+    hurwitz[real] = np.all(np.linalg.eigvals(comp).real < -TOL.hurwitz, axis=1)
 
     # b d = e a - q0 reflect(a)^2, matching all 2N-1 coefficients; exact
     # divisibility holds at true critical points, so the residual doubles as
@@ -172,7 +163,7 @@ def recover_candidates(
     ls_res = (np.linalg.norm(conv @ b - rhs, axis=0)
               / np.maximum(np.linalg.norm(rhs, axis=0), 1e-300))
     b_real = real & (np.abs(b.imag).max(axis=0)
-                     <= tol.real * (1.0 + np.abs(b).max(axis=0)))
+                     <= TOL.real * (1.0 + np.abs(b).max(axis=0)))
 
     phi = critical_values(sys, xis)
     if criterion is not None:
@@ -194,11 +185,7 @@ def recover_candidates(
     return candidates, int(np.count_nonzero(~keep))
 
 
-def recover_candidate(
-    sys: ValidatedSystem,
-    xi: Sequence[complex],
-    tol: Optional[Tolerances] = None,
-) -> CriticalPoint:
+def recover_candidate(sys: ValidatedSystem, xi: Sequence[complex]) -> CriticalPoint:
     """Map one eigenvalue tuple xi back to a candidate (a, b, q0).
 
     The one-row case of ``recover_candidates``; raises
@@ -207,7 +194,7 @@ def recover_candidate(
     xi = np.atleast_1d(np.asarray(xi, dtype=complex))
     if xi.shape != (sys.n,):
         raise ValueError("xi must have one entry per pole")
-    candidates, _ = recover_candidates(sys, xi[None, :], tol)
+    candidates, _ = recover_candidates(sys, xi[None, :])
     if not candidates:
         raise DegenerateLeadingCoefficientError(
             "leading coefficient of the recovered polynomial is numerically "

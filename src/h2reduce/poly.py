@@ -11,6 +11,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .tolerances import TOL
+
 
 def _trim(coeffs: np.ndarray) -> np.ndarray:
     """Strip leading zero coefficients, keeping at least one entry."""
@@ -105,8 +107,8 @@ def roots(p: Polynomial) -> np.ndarray:
     return np.roots(p.coeffs)
 
 
-def is_hurwitz(p: Polynomial, tol: float = 1e-9) -> bool:
-    """True iff every root lies strictly left of -tol.
+def is_hurwitz(p: Polynomial) -> bool:
+    """True iff every root lies strictly left of -TOL.hurwitz.
 
     Degree-0 polynomials are vacuously Hurwitz.
     """
@@ -114,4 +116,4 @@ def is_hurwitz(p: Polynomial, tol: float = 1e-9) -> bool:
         raise ValueError("Hurwitz test requires real polynomial")
     if p.degree == 0:
         return True
-    return bool(np.all(roots(p).real < -tol))
+    return bool(np.all(roots(p).real < -TOL.hurwitz))

@@ -24,14 +24,7 @@ from .errors import (
     NoAdmissibleSolutionError,
     NumericalError,
 )
-from .foc import (
-    CVM_GAP,
-    CriticalPoint,
-    build_M,
-    critical_values,
-    criterion_weights,
-    recover_candidates,
-)
+from .foc import CriticalPoint, build_M, criterion_weights, recover_candidates
 from .stetter import (
     DiagQuadSystem,
     build_critical_value_matrix,
@@ -39,15 +32,10 @@ from .stetter import (
     common_eigen_solutions,
 )
 from .tf import TransferFunction, ValidatedSystem, h2_distance, h2_norm
-from .tolerances import Tolerances
+from .tolerances import TOL
 
 # entries of one block of the candidates-by-eigenvalues distance matrix
 _MATCH_BLOCK = 1 << 15
-
-
-def critical_value(sys: ValidatedSystem, xi: Sequence[complex]) -> complex:
-    """phi(xi) = sum_i xi_i^3 w_i; the squared H2 error at real critical points."""
-    return complex(critical_values(sys, np.atleast_1d(np.asarray(xi, dtype=complex))))
 
 
 @dataclass(frozen=True)
@@ -71,34 +59,30 @@ class ReductionReport:
         return TransferFunction(self.global_candidate.b, self.global_candidate.a)
 
 
-def _is_real_positive(v: complex, tol: Tolerances) -> bool:
-    return abs(v.imag) <= tol.value_real * (1.0 + abs(v)) and v.real > 0
+def _is_real_positive(v: complex) -> bool:
+    return abs(v.imag) <= TOL.value_real * (1.0 + abs(v)) and v.real > 0
 
 
-def _critical_levels(candidates: Sequence[CriticalPoint], tol: Tolerances) -> List[float]:
+def _critical_levels(candidates: Sequence[CriticalPoint]) -> List[float]:
     """Distinct real positive criterion values, in increasing order."""
     levels: List[float] = []
     for cp in candidates:
-        if _is_real_positive(cp.criterion, tol):
+        if _is_real_positive(cp.criterion):
             m = cp.criterion.real
-            if not any(abs(m - u) <= tol.value_cluster * max(m, u) for u in levels):
+            if not any(abs(m - u) <= TOL.value_cluster * max(m, u) for u in levels):
                 levels.append(m)
     levels.sort()
     return levels
 
 
-def select_global(
-    candidates: Sequence[CriticalPoint],
-    tol: Optional[Tolerances] = None,
-) -> Optional[CriticalPoint]:
+def select_global(candidates: Sequence[CriticalPoint]) -> Optional[CriticalPoint]:
     """The admissible candidate with the least real positive criterion value.
 
     Admissible candidates are real, stable critical points, where phi is the
     squared H2 error, so the least of their values is the global minimum.
     """
-    tol = tol or Tolerances()
     return min(
-        (cp for cp in candidates if cp.is_admissible and _is_real_positive(cp.criterion, tol)),
+        (cp for cp in candidates if cp.is_admissible and _is_real_positive(cp.criterion)),
         key=lambda cp: cp.criterion.real,
         default=None,
     )
@@ -110,14 +94,14 @@ def _match_critical_values(
     """The eigenvalue of A_F nearest each pointwise value phi.
 
     Raises a NumericalError, carrying ``diagnostics`` and the mismatch, when
-    any of them lies further than CVM_GAP (relative) from its value.
+    any of them lies further than TOL.cvm_gap (relative) from its value.
     """
     rows = max(1, _MATCH_BLOCK // len(vals))
     nearest = np.empty(len(phi), dtype=np.intp)
     for i in range(0, len(phi), rows):
         nearest[i:i + rows] = np.argmin(np.abs(vals - phi[i:i + rows, None]), axis=1)
     gap = np.abs(vals[nearest] - phi) / (1.0 + np.abs(phi))
-    bad = np.flatnonzero(gap > CVM_GAP)
+    bad = np.flatnonzero(gap > TOL.cvm_gap)
     if bad.size:
         raise NumericalError(
             "critical-value matrix eigenvalues do not match the pointwise "
@@ -139,7 +123,6 @@ def _lap(stage_s: Dict[str, float], name: str, start: float) -> float:
 def solve_reduction(
     sys: ValidatedSystem,
     seed: int = 0,
-    tol: Optional[Tolerances] = None,
     method: str = "enum",
 ) -> ReductionReport:
     """Run the whole pipeline and select the global optimum.
@@ -150,23 +133,24 @@ def solve_reduction(
     A_F = sum w_i A_{X_i}^3 and raises a numerical error when they cannot be
     matched to the pointwise values — this path is known to break down first
     under ill-conditioning and exists for diagnostics and comparison.
+    Every check of every stage reads the one fixed threshold table ``TOL``;
+    no caller can loosen it.
     """
     if method not in ("enum", "cvm"):
         raise ValueError(f"unknown method {method!r}")
     if sys.n < 2:
         raise InputError(
             f"reduction by one needs a system of order >= 2, got order {sys.n}")
-    tol = tol or Tolerances()
     stage_s: Dict[str, float] = {}
     diagnostics: Dict[str, object] = {"seed": seed, "method": method, "stage_s": stage_s}
     t0 = t = time.perf_counter()
 
-    m = build_M(sys, tol)
+    m = build_M(sys)
     t = _lap(stage_s, "build_M", t)
     mm = build_multiplication_matrices(DiagQuadSystem(m, conj=sys.conj_perm))
     t = _lap(stage_s, "build_mult", t)
 
-    eig = common_eigen_solutions(mm, seed=seed, tol=tol)
+    eig = common_eigen_solutions(mm, seed=seed)
     diagnostics["conjugation_defect"] = eig.conjugation_defect
     # the root ledger: the optimum is certified only if all 2^N roots are
     # accounted for as distinct, accepted tuples, and mu = 0 makes xi = 0 a
@@ -174,7 +158,7 @@ def solve_reduction(
     # there is a copy of it standing in for a root never found
     xis = np.array([s.xi for s in eig.solutions]).reshape(-1, mm.n_vars)
     sizes = np.abs(xis).max(axis=1)
-    at_zero = sizes <= tol.zero_solution * (1.0 + sizes.max(initial=0.0))
+    at_zero = sizes <= TOL.zero_solution * (1.0 + sizes.max(initial=0.0))
     if len(xis) != mm.dim or np.count_nonzero(at_zero) != 1:
         ledger = {"found": len(xis), "rejected": len(eig.rejected),
                   "merged": sum(s.multiplicity_hint - 1 for s in eig.solutions),
@@ -193,7 +177,7 @@ def solve_reduction(
         vals = np.linalg.eigvals(build_critical_value_matrix(mm, criterion_weights(sys)))
         match = partial(_match_critical_values, vals, diagnostics=diagnostics)
         t = _lap(stage_s, "cvm", t)
-    candidates, degenerate_q0 = recover_candidates(sys, xis[~at_zero], tol, criterion=match)
+    candidates, degenerate_q0 = recover_candidates(sys, xis[~at_zero], criterion=match)
     diagnostics["degenerate_q0_rejections"] = degenerate_q0
     if method == "cvm":
         diagnostics["cvm_eigenvalues"] = vals
@@ -202,14 +186,14 @@ def solve_reduction(
     admissible = [cp for cp in candidates if cp.is_admissible]
     norm = h2_norm(sys)
 
-    best = select_global(candidates, tol)
+    best = select_global(candidates)
     cross = {}
     for idx, cp in enumerate(admissible):
         approx = TransferFunction(cp.b, cp.a)
-        dist = h2_distance(sys, approx, tol)
+        dist = h2_distance(sys, approx)
         gap = abs(cp.criterion.real - dist**2)
         cross[idx] = {"distance": dist, "gap": gap,
-                      "flagged": gap > tol.cross_check * (1.0 + cp.criterion.real)}
+                      "flagged": gap > TOL.cross_check * (1.0 + cp.criterion.real)}
     diagnostics["cross_check"] = cross
     t = _lap(stage_s, "select", t)
     diagnostics["elapsed_s"] = t - t0
@@ -228,6 +212,6 @@ def solve_reduction(
         admissible=admissible,
         global_candidate=best,
         global_error=best.error,
-        critical_values_sorted=_critical_levels(candidates, tol),
+        critical_values_sorted=_critical_levels(candidates),
         diagnostics=diagnostics,
     )

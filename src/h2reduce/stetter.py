@@ -44,21 +44,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from .errors import BasisSizeError, ConjugationDefectError
-from .tolerances import Tolerances
+from .tolerances import TOL
 
 # Largest N accepted; the CLI's --cap may not exceed it either.
 N_CAP = 14
-
-# Polished roots closer than this, relative to the larger of the two, are
-# one root. Newton polishing leaves well-conditioned roots accurate to near
-# machine precision, while distinct roots of example 1 lie as close as 1.9e-6
-# relative.
-MERGE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -302,15 +296,15 @@ def _newton_steps(jac: np.ndarray, f: np.ndarray):
         return step, ok
 
 
-def _polish(starts: np.ndarray, sys: DiagQuadSystem, max_iter: int = 12):
+def _polish(starts: np.ndarray, sys: DiagQuadSystem):
     """Newton-polish each column of an (N, k) array as a root of
     F(x) = x^2 - Mx - mu.
 
     Eigenvector-derived tuples carry O(sqrt(eps)) noise on clustered spectra;
     a few Newton steps push well-conditioned roots to machine precision.
     Each root keeps the iterate of least residual 2-norm, its start if no
-    step improves on it. A root stops after ``max_iter`` steps, once its
-    residual is below 1e-15 (1 + ||x||^2), or when its Jacobian is exactly
+    step improves on it. A root stops after 12 steps, once its residual is
+    below TOL.polish_stop (1 + ||x||^2), or when its Jacobian is exactly
     singular. All roots step together, each with the arithmetic of a
     one-root loop, so the result is bitwise that of polishing the columns
     one at a time. F at a start is computed on the column in place: BLAS
@@ -327,7 +321,7 @@ def _polish(starts: np.ndarray, sys: DiagQuadSystem, max_iter: int = 12):
     f = _resid(x, sys)
     live = np.arange(k)    # roots still iterating; x and f hold their rows
     jac = np.empty((k, n, n), dtype=complex)
-    for _ in range(max_iter):
+    for _ in range(12):
         if not live.size:
             break
         j = jac[:live.size]
@@ -349,7 +343,7 @@ def _polish(starts: np.ndarray, sys: DiagQuadSystem, max_iter: int = 12):
         x_sq = np.array([v ** 2 for v in _norms(x)])
         # an iterate that is no longer finite stays so, and its residual
         # (inf or nan) never improves on the best
-        go = ~(r < 1e-15 * (1.0 + x_sq)) & np.isfinite(x).all(axis=1)
+        go = ~(r < TOL.polish_stop * (1.0 + x_sq)) & np.isfinite(x).all(axis=1)
         live, x, f = live[go], x[go], f[go]
     return best, best_f
 
@@ -374,11 +368,11 @@ def _dedupe(solutions):
     """Greedy clustering in input order.
 
     Each tuple joins the first earlier representative u with
-    ||s - u||_inf <= MERGE * max(||s||_inf, ||u||_inf, 1e-300), or becomes a
-    representative itself; multiplicity_hint counts the members.
+    ||s - u||_inf <= TOL.merge * max(||s||_inf, ||u||_inf, 1e-300), or becomes
+    a representative itself; multiplicity_hint counts the members.
 
     Since | ||s|| - ||u|| | <= ||s - u||, only pairs whose norms lie within
-    4 MERGE max(||s||, 1e-300) of each other can merge; the factor 4 covers
+    4 TOL.merge max(||s||, 1e-300) of each other can merge; the factor 4 covers
     the rounding of the computed norms. One sort of the norms gives each
     tuple that window, the candidate pairs in it are tested as arrays, and
     the greedy rule then runs over the pairs that are close.
@@ -390,7 +384,7 @@ def _dedupe(solutions):
     norms = np.abs(x).max(axis=1)
     order = np.argsort(norms)
     sorted_norms = norms[order]
-    reach = 4.0 * MERGE * np.maximum(norms, 1e-300)
+    reach = 4.0 * TOL.merge * np.maximum(norms, 1e-300)
     lo = np.searchsorted(sorted_norms, norms - reach, side="left")
     width = np.searchsorted(sorted_norms, norms + reach, side="right") - lo
     ends = np.cumsum(width)
@@ -406,7 +400,7 @@ def _dedupe(solutions):
         keep = u < s
         s, u = s[keep], u[keep]
         gap = np.abs(x[s] - x[u]).max(axis=1)
-        close = gap <= MERGE * np.maximum(np.maximum(norms[u], norms[s]), 1e-300)
+        close = gap <= TOL.merge * np.maximum(np.maximum(norms[u], norms[s]), 1e-300)
         s, u = s[close], u[close]
         # each tuple's close pairs in order of their earlier member; those
         # before it are settled already
@@ -487,7 +481,6 @@ def _evaluation_rows(w: np.ndarray, rows: np.ndarray, partner: np.ndarray) -> np
 def common_eigen_solutions(
     mm: MultiplicationMatrices,
     seed: int = 0,
-    tol: Optional[Tolerances] = None,
 ) -> EigenSolutionSet:
     """All simultaneous eigenvalue tuples of the A_{X_i}.
 
@@ -501,21 +494,20 @@ def common_eigen_solutions(
     permutation P of the basis monomials that it induces, and T^T is
     similar to the real matrix R of ``_real_form``. A real ``eig`` of R gives
     the eigenvectors w, and only the rows 0 and 2^i of u = U w are formed.
-    When R drops an imaginary part above ``tol.conjugation``, relative to
+    When R drops an imaginary part above ``TOL.conjugation``, relative to
     max|R|, the matrices do not respect the declared conjugation and
     ``ConjugationDefectError`` is raised.
 
     The finite tuples are Newton-polished as one (2^N, N) array
     (``_polish``), bitwise as if one at a time. A tuple is rejected when it is
     not finite or its normwise residual (``_residual``) exceeds
-    ``tol.eig_residual``. Accepted tuples closer than ``MERGE`` are merged
+    ``TOL.eig_residual``. Accepted tuples closer than ``TOL.merge`` are merged
     (``_dedupe``). Every one of the 2^N eigenvectors ends up in
     ``solutions`` (counted by multiplicity_hint) or in ``rejected``, each
     list in the order of the eigenvectors.
     """
-    tol = tol or Tolerances()
     sys = mm.system
-    q, defect = _read_off(mm, seed, tol)
+    q, defect = _read_off(mm, seed)
     finite = np.isfinite(q).all(axis=0)
     # a column that is not finite is rejected as it is; a zero start in its
     # place keeps the batch finite
@@ -525,13 +517,13 @@ def common_eigen_solutions(
     xis[~finite] = q.T[~finite]
     accepted, rejected = [], []
     for xi, res in zip(xis, residual.tolist()):
-        (accepted if res <= tol.eig_residual else rejected).append(
+        (accepted if res <= TOL.eig_residual else rejected).append(
             EigenSolution(xi, res, multiplicity_hint=1))
     return EigenSolutionSet(solutions=_dedupe(accepted), rejected=rejected,
                             conjugation_defect=defect)
 
 
-def _read_off(mm: MultiplicationMatrices, seed: int, tol: Tolerances):
+def _read_off(mm: MultiplicationMatrices, seed: int):
     """The tuples xi_i = u[2^i] / u[0] of all 2^N eigenvectors u of T^T, one
     per column of an (N, 2^N) array, and the conjugation defect of R."""
     sys = mm.system
@@ -542,10 +534,10 @@ def _read_off(mm: MultiplicationMatrices, seed: int, tol: Tolerances):
     # a complex combination lives only inside _real_form, so it is freed
     # before eig
     r, defect = _real_form(_combination_transpose(mm, c), partner)
-    if defect > tol.conjugation:
+    if defect > TOL.conjugation:
         raise ConjugationDefectError(
             f"conjugation defect {defect:.3e} exceeds tolerance "
-            f"{tol.conjugation:.1e}: the multiplication matrices do not "
+            f"{TOL.conjugation:.1e}: the multiplication matrices do not "
             "respect the declared conjugation of the variables",
             diagnostics={"conjugation_defect": defect},
         )

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -17,7 +16,7 @@ from .errors import (
     NumericalError,
 )
 from .poly import Polynomial, derivative, eval_poly, roots
-from .tolerances import Tolerances
+from .tolerances import TOL, Tolerances
 
 
 @dataclass(frozen=True)
@@ -36,6 +35,8 @@ class TransferFunction:
             numerator = Polynomial(numerator)
         if not isinstance(denominator, Polynomial):
             denominator = Polynomial(denominator)
+        if denominator.is_zero:
+            raise InputError("the denominator is identically zero")
         lead = denominator.coeffs[0]
         object.__setattr__(self, "numerator", numerator.scale(1.0 / lead))
         object.__setattr__(self, "denominator", denominator.monic())
@@ -58,11 +59,14 @@ def generate_relaxation(n: int, alpha: float) -> TransferFunction:
     """G(s) = sum_{j=1}^n alpha^(2j) / (s + alpha^(2j))."""
     if n < 1:
         raise InputError("relaxation order must be >= 1")
-    if alpha <= 0:
-        raise InputError("relaxation parameter alpha must be > 0")
+    if not 0 < alpha < np.inf:
+        raise InputError(f"relaxation parameter alpha must be finite and > 0, got {alpha}")
     if alpha == 1.0:
         raise InputError("degenerate relaxation system (first order): alpha = 1")
-    gains = np.array([alpha ** (2 * j) for j in range(1, n + 1)])
+    try:
+        gains = np.array([alpha ** (2 * j) for j in range(1, n + 1)])
+    except OverflowError as exc:
+        raise InputError(f"relaxation poles overflow at alpha = {alpha}") from exc
     return from_pole_residue(-gains, gains)
 
 
@@ -83,7 +87,7 @@ def from_pole_residue(poles: np.ndarray, residues: np.ndarray) -> TransferFuncti
                 term = np.convolve(term, [1.0, -p])
         num += term
     scale = max(np.max(np.abs(num)), np.max(np.abs(den)))
-    if max(np.max(np.abs(num.imag)), np.max(np.abs(den.imag))) > 1e-9 * scale:
+    if max(np.max(np.abs(num.imag)), np.max(np.abs(den.imag))) > TOL.conj_closure * scale:
         raise InputError(
             "pole-residue data does not describe a real system "
             "(conjugate closure violated)"
@@ -112,9 +116,8 @@ class ValidatedSystem:
     n: int
 
 
-def validate(tf: TransferFunction, tol: Optional[Tolerances] = None) -> ValidatedSystem:
+def validate(tf: TransferFunction) -> ValidatedSystem:
     """Check stability, strict properness, pole distinctness and coprimality."""
-    tol = tol or Tolerances()
     e, d = tf.numerator, tf.denominator
     if not (e.is_real and d.is_real):
         raise ValidationError("numerator and denominator must be real polynomials")
@@ -136,26 +139,26 @@ def validate(tf: TransferFunction, tol: Optional[Tolerances] = None) -> Validate
     scale = np.max(np.abs(poles))
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(poles[i] - poles[j]) < tol.pole_sep * scale:
+            if abs(poles[i] - poles[j]) < TOL.pole_sep * scale:
                 raise RepeatedPoleError(poles[i], poles[j])
 
     e_at = np.array([eval_poly(e, p) for p in poles])
     e_scale = np.max(np.abs(e.coeffs))
     zeros = roots(e) if e.degree >= 1 else None
     for p, v in zip(poles, e_at):
-        if abs(v) >= tol.coprime * e_scale:
+        if abs(v) >= TOL.coprime * e_scale:
             continue
         # A tiny numerator value alone is not proof of a shared factor:
         # systems with tightly clustered poles evaluate small everywhere.
         # Confirm by actual pole-zero proximity, scaled to the pole itself.
-        if zeros is not None and np.min(np.abs(zeros - p)) < 1e-6 * abs(p):
+        if zeros is not None and np.min(np.abs(zeros - p)) < TOL.cancel * abs(p):
             raise PoleZeroCancellationError(p, v)
 
     # real d: the pole multiset is conjugate closed; record the pairing
     conj_perm = np.empty(n, dtype=int)
     for i, p in enumerate(poles):
         k = int(np.argmin(np.abs(poles - np.conj(p))))
-        if abs(poles[k] - np.conj(p)) > tol.pole_sep * scale:
+        if abs(poles[k] - np.conj(p)) > TOL.pole_sep * scale:
             raise ValidationError(f"pole set not closed under conjugation near {p}")
         conj_perm[i] = k
 
@@ -183,9 +186,9 @@ def h2_norm(sys: ValidatedSystem) -> float:
     """H2 norm of e/d by partial fractions over the (distinct) poles."""
     r = sys.e_at_poles / sys.dprime_at_poles
     sq = _pairing_norm_sq(r, sys.poles)
-    if abs(sq.imag) > 1e-10 * max(abs(sq.real), 1.0):
+    if abs(sq.imag) > TOL.norm_real * max(abs(sq.real), 1.0):
         raise NumericalError(f"H2 norm came out non-real: {sq}")
-    if sq.real < 0 and sq.real > -1e-12:
+    if sq.real < 0 and sq.real > -TOL.norm_floor:
         return 0.0
     return float(np.sqrt(sq.real))
 
@@ -196,13 +199,13 @@ def _residues(num: Polynomial, den: Polynomial, poles: np.ndarray) -> np.ndarray
 
 
 def h2_distance(sys: ValidatedSystem, approx: TransferFunction,
-                tol: Optional[Tolerances] = None) -> float:
+                tol: Tolerances | None = None) -> float:
     """||e/d - b/a||_2 via the merged partial fractions of both systems.
 
     Merging the two residue expansions avoids expanding the difference's
     numerator, which would cancel catastrophically for close systems.
+    ``tol`` is ignored: every threshold comes from the fixed table.
     """
-    tol = tol or Tolerances()
     if approx.numerator.is_zero:
         return h2_norm(sys)
     a_poles = roots(approx.denominator)
@@ -211,14 +214,14 @@ def h2_distance(sys: ValidatedSystem, approx: TransferFunction,
             raise ValidationError(f"unstable approximant: pole at {p}")
     scale = max(np.max(np.abs(sys.poles)), np.max(np.abs(a_poles)))
     for p in a_poles:
-        if np.min(np.abs(sys.poles - p)) < 1e-12 * scale:
+        if np.min(np.abs(sys.poles - p)) < TOL.shared_pole * scale:
             raise NumericalError(
                 f"approximant shares pole {p} with the original system; "
                 "the confluent residue limit is not supported"
             )
     for i in range(len(a_poles)):
         for j in range(i + 1, len(a_poles)):
-            if abs(a_poles[i] - a_poles[j]) < 1e-12 * scale:
+            if abs(a_poles[i] - a_poles[j]) < TOL.shared_pole * scale:
                 raise NumericalError("approximant has a repeated pole")
     all_poles = np.concatenate([sys.poles, a_poles])
     all_res = np.concatenate([
@@ -226,6 +229,6 @@ def h2_distance(sys: ValidatedSystem, approx: TransferFunction,
         -_residues(approx.numerator, approx.denominator, a_poles),
     ])
     sq = _pairing_norm_sq(all_res, all_poles)
-    if abs(sq.imag) > 1e-8 * max(abs(sq.real), 1.0):
+    if abs(sq.imag) > TOL.distance_real * max(abs(sq.real), 1.0):
         raise NumericalError(f"H2 distance came out non-real: {sq}")
     return float(np.sqrt(max(sq.real, 0.0)))

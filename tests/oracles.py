@@ -34,6 +34,7 @@ from h2reduce.errors import DegenerateLeadingCoefficientError
 from h2reduce.foc import CriticalPoint
 from h2reduce.poly import Polynomial, is_hurwitz, reflect
 from h2reduce.stetter import EigenSolution
+from h2reduce.tolerances import TOL
 
 
 def quad_h2_norm(num, den) -> float:
@@ -441,24 +442,24 @@ def _loop_solve_b(e, d, a, q0):
     return Polynomial(b), float(res)
 
 
-def _loop_recover_one(sys, xi, tol):
+def _loop_recover_one(sys, xi):
     """One tuple: Vandermonde solve, monic normalisation, np.roots Hurwitz
     test and least-squares numerator, with the criterion left at 0."""
     n = sys.n
     v_minus = np.vander(-sys.poles, n, increasing=True)
     at = np.linalg.solve(v_minus, xi)
     q0 = at[-1]
-    if abs(q0) <= tol.q0 * np.linalg.norm(at):
+    if abs(q0) <= TOL.q0 * np.linalg.norm(at):
         raise DegenerateLeadingCoefficientError("degenerate leading coefficient")
     a_desc = (at / q0)[::-1]
     a_desc[0] = 1.0
     scale = 1.0 + np.max(np.abs(a_desc))
-    real = bool(np.max(np.abs(a_desc.imag)) <= tol.real * scale
-                and abs(q0.imag) <= tol.real * (1.0 + abs(q0)))
+    real = bool(np.max(np.abs(a_desc.imag)) <= TOL.real * scale
+                and abs(q0.imag) <= TOL.real * (1.0 + abs(q0)))
     if real:
         a = Polynomial(a_desc.real)
         q0_eff = q0.real
-        hurwitz = is_hurwitz(a, tol.hurwitz)
+        hurwitz = is_hurwitz(a)
     else:
         a = Polynomial(a_desc)
         q0_eff = q0
@@ -466,12 +467,12 @@ def _loop_recover_one(sys, xi, tol):
     b, ls_res = _loop_solve_b(sys.tf.numerator, sys.tf.denominator, a, q0_eff)
     if real and np.iscomplexobj(b.coeffs):
         im = np.max(np.abs(b.coeffs.imag))
-        if im <= tol.real * (1.0 + np.max(np.abs(b.coeffs))):
+        if im <= TOL.real * (1.0 + np.max(np.abs(b.coeffs))):
             b = b.real()
     return a, b, q0_eff, real, hurwitz, ls_res
 
 
-def loop_recover(sys, xis, tol):
+def loop_recover(sys, xis):
     """Recover a candidate from each row of xis, one tuple at a time, with
     phi = sum_i w_i xi_i^3 summed per tuple; returns the candidates in row
     order and the number of tuples dropped for a degenerate q0."""
@@ -480,7 +481,7 @@ def loop_recover(sys, xis, tol):
     degenerate = 0
     for xi in np.asarray(xis, dtype=complex):
         try:
-            a, b, q0, real, hurwitz, ls_res = _loop_recover_one(sys, xi, tol)
+            a, b, q0, real, hurwitz, ls_res = _loop_recover_one(sys, xi)
         except DegenerateLeadingCoefficientError:
             degenerate += 1
             continue

@@ -210,6 +210,37 @@ class TestMainExitCodes:
         # a certificate rests on one fixed set of thresholds
         assert main(["--relaxation", "N=4", "alpha=0.5"] + flag) == 1
 
+    @pytest.mark.parametrize("text", [
+        "numerator = 1\ndenominator = 1 nan\n",
+        "numerator = 1 inf\ndenominator = 1 3 2\n",
+        "numerator = 1\ndenominator = 1 1e999\n",
+        "poles = -1,0 -inf,0\nresidues = 1,0 1,0\n",
+        "poles = -1,0 -2,0\nresidues = 1,0 nan,0\n",
+        "numerator = 1\ndenominator = 0\n",
+        "numerator = 1\ndenominator = 0 0 0\n",
+        "numerator =\ndenominator = 1 2\n",
+        "alpha=nan", "alpha=inf", "alpha=-inf", "alpha=1e200",
+    ])
+    def test_malformed_numbers_exit_1(self, tmp_path, capsys, text):
+        # non-finite, missing or overflowing numbers, and a zero denominator
+        if text.startswith("alpha="):
+            argv = ["--relaxation", "N=4", text]
+        else:
+            f = tmp_path / "sys.txt"
+            f.write_text(text)
+            argv = ["--input", str(f)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error (input): ") and "Traceback" not in err
+
+    def test_ill_conditioned_exit_prints_residual(self, capsys):
+        # at N = 6, alpha = 0.30 the coupling matrix meets its defining
+        # relation only to ~1.9e-6, so build_M stops the solve
+        assert main(["--relaxation", "N=6", "alpha=0.30"]) == 4
+        err = capsys.readouterr().err
+        assert "too ill-conditioned" in err
+        assert "  build_m_residual: " in err
+
 
 class TestStructuredOutput:
     def parse(self, text):

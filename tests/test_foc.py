@@ -9,7 +9,6 @@ from h2reduce import (
     DiagQuadSystem,
     IllConditionedError,
     Polynomial,
-    Tolerances,
     TransferFunction,
     build_M,
     build_multiplication_matrices,
@@ -21,6 +20,7 @@ from h2reduce import (
     solve_reduction,
     validate,
 )
+from h2reduce.tolerances import TOL
 
 
 def two_pole_system():
@@ -69,8 +69,9 @@ class TestBuildM:
         # N = 6, alpha = 0.30 the defining relation holds only to ~1.9e-6
         with pytest.raises(IllConditionedError) as exc:
             build_M(validate(generate_relaxation(6, 0.30)))
-        assert exc.value.residual > Tolerances().build_m_residual
-        assert exc.value.residual == pytest.approx(1.9e-6, rel=0.1)
+        resid = exc.value.diagnostics["build_m_residual"]
+        assert resid > TOL.build_m_residual
+        assert resid == pytest.approx(1.9e-6, rel=0.1)
 
 
 class TestRecoverCandidate:
@@ -168,9 +169,8 @@ def assert_matches_loop(sys, xis):
     """recover_candidates against the one-tuple-at-a-time oracle: a, q0, phi
     and the flags bit-identical, b within 1e-13 relative, ls_residual within
     1e-14 absolute, the same degenerate count and the same order."""
-    tol = Tolerances()
-    got, degenerate = recover_candidates(sys, xis, tol)
-    want, degenerate_ref = loop_recover(sys, xis, tol)
+    got, degenerate = recover_candidates(sys, xis)
+    want, degenerate_ref = loop_recover(sys, xis)
     assert degenerate == degenerate_ref
     assert len(got) == len(want)
     for g, w in zip(got, want):

@@ -11,6 +11,7 @@ from h2reduce import (
     reflect,
     roots,
 )
+from h2reduce.tolerances import TOL
 
 coeff_lists = st.lists(
     st.floats(min_value=-10, max_value=10, allow_nan=False), min_size=1, max_size=8
@@ -120,9 +121,10 @@ class TestHurwitz:
         assert not is_hurwitz(Polynomial([1.0, 1.0, 0.0]))
 
     def test_margin_tolerance(self):
-        p = Polynomial([1.0, 1e-12])  # root at -1e-12
-        assert not is_hurwitz(p, tol=1e-9)
-        assert is_hurwitz(p, tol=1e-15)
+        # a root must lie left of -TOL.hurwitz, not merely in the open half-plane
+        assert TOL.hurwitz == 1e-9
+        assert not is_hurwitz(Polynomial([1.0, 1e-12]))  # root at -1e-12
+        assert is_hurwitz(Polynomial([1.0, 1e-8]))       # root at -1e-8
 
     def test_complex_rejected(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -12,22 +14,24 @@ from h2reduce import (
     NoAdmissibleSolutionError,
     NumericalError,
     Polynomial,
-    Tolerances,
     TransferFunction,
     build_M,
     build_critical_value_matrix,
     build_multiplication_matrices,
-    critical_value,
+    common_eigen_solutions,
     generate_relaxation,
     h2_distance,
+    recover_candidates,
     select_global,
     solve_reduction,
     validate,
 )
 from dataclasses import replace
 
+import h2reduce.foc as foc_mod
 import h2reduce.reduce as reduce_mod
-from h2reduce.foc import CVM_GAP, criterion_weights
+from h2reduce.foc import critical_values, criterion_weights
+from h2reduce.tolerances import TOL
 
 
 def make_candidate(phi, real=True, hurwitz=True):
@@ -48,7 +52,7 @@ class TestCriticalValue:
     def test_zero(self):
         sys = validate(TransferFunction(Polynomial([1.0, 3.0]),
                                         Polynomial([1.0, 3.0, 2.0])))
-        assert critical_value(sys, [0.0, 0.0]) == 0.0
+        assert critical_values(sys, np.zeros(2)) == 0.0
 
     def test_conjugate_pairing(self):
         # conjugate-permuted tuples give conjugate values
@@ -57,8 +61,8 @@ class TestCriticalValue:
         rng = np.random.default_rng(1)
         xi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         xi_conj = np.conj(xi)[sys.conj_perm]
-        assert critical_value(sys, xi_conj) == pytest.approx(
-            np.conj(critical_value(sys, xi)), rel=1e-10)
+        assert critical_values(sys, xi_conj) == pytest.approx(
+            np.conj(critical_values(sys, xi)), rel=1e-10)
 
     def test_equals_squared_distance_at_critical_points(self):
         rng = np.random.default_rng(6)
@@ -214,15 +218,14 @@ class TestSolveReduction:
         r_cvm = solve_reduction(sys, method="cvm")
         assert r_cvm.global_error == pytest.approx(r_enum.global_error, rel=1e-6)
 
-    def test_no_admissible_raises_with_diagnostics(self):
+    def test_no_admissible_raises_with_diagnostics(self, monkeypatch):
         # realness tolerance of zero rejects every candidate of a system
         # whose recovered coefficients carry float-level imaginary noise
-        rng = np.random.default_rng(33)
         tf = TransferFunction(Polynomial([1.0, 0.5, 1.0]),
                               Polynomial([1.0, 2.5, 3.0, 2.0]))
-        tol = replace(Tolerances(), real=0.0)
+        monkeypatch.setattr(foc_mod, "TOL", replace(TOL, real=0.0))
         with pytest.raises(NoAdmissibleSolutionError) as exc:
-            solve_reduction(validate(tf), tol=tol)
+            solve_reduction(validate(tf))
         assert "rejections" in exc.value.diagnostics
 
     def test_unknown_method(self):
@@ -273,7 +276,7 @@ class TestSolveReduction:
         mm = build_multiplication_matrices(DiagQuadSystem(build_M(sys)))
         vals = np.linalg.eigvals(build_critical_value_matrix(mm, criterion_weights(sys)))
         gap = np.abs(vals[None, :] - phi[:, None]).min(axis=1) / (1.0 + np.abs(phi))
-        bad = np.flatnonzero(gap > CVM_GAP)
+        bad = np.flatnonzero(gap > TOL.cvm_gap)
         assert bad.size > 0
         assert d["first_mismatch"] == bad[0]
         assert d["mismatched"] == bad.size
@@ -287,3 +290,12 @@ class TestSolveReduction:
         blocked = solve_reduction(sys, method="cvm")
         assert [cp.criterion for cp in blocked.candidates] == [
             cp.criterion for cp in whole.candidates]
+
+
+@pytest.mark.parametrize("func", [validate, build_M, recover_candidates,
+                                  common_eigen_solutions, select_global, solve_reduction],
+                         ids=lambda f: f.__name__)
+def test_thresholds_are_not_parameters(func):
+    # the library's counterpart of the command line's fixed thresholds: no
+    # caller can loosen the table a certificate rests on
+    assert "tol" not in inspect.signature(func).parameters

@@ -22,7 +22,6 @@ from h2reduce import (
     DiagQuadSystem,
     MultiplicationMatrices,
     Polynomial,
-    Tolerances,
     TransferFunction,
     build_M,
     build_critical_value_matrix,
@@ -34,8 +33,9 @@ from h2reduce import (
 from h2reduce import stetter
 from h2reduce.foc import criterion_weights
 from h2reduce.stetter import (
-    MERGE, EigenSolution, _combination_weights, _dedupe, _evaluation_rows,
+    EigenSolution, _combination_weights, _dedupe, _evaluation_rows,
     _norms, _polish, _read_off, _real_form, _residual)
+from h2reduce.tolerances import TOL
 
 
 def random_system(rng, n, with_mu=False):
@@ -379,7 +379,7 @@ class TestEigenKernelsAgainstLoops:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_polish_matches_loop_example1(self, example1_matrices):
-        q, _ = _read_off(example1_matrices, 0, Tolerances())
+        q, _ = _read_off(example1_matrices, 0)
         self.assert_polish_matches_loops(example1_matrices.system, q)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -391,7 +391,7 @@ class TestEigenKernelsAgainstLoops:
               else pole_pair_system(rng, n))
         mm = pole_matrices(validate(tf))
         for seed in (0, 1):
-            q, _ = _read_off(mm, seed, Tolerances())
+            q, _ = _read_off(mm, seed)
             assert np.isfinite(q).all()
             self.assert_polish_matches_loops(mm.system, q)
 
@@ -427,7 +427,7 @@ class TestEigenKernelsAgainstLoops:
 
     @staticmethod
     def dedupe_cases():
-        cl = MERGE
+        cl = TOL.merge
         a = np.array([1.0, 0.5j])
         c = np.array([2.0, -1.0 + 1.0j])          # ||c||_inf = 2
         step = np.array([0.75 * cl * 2.0, 0.0])   # c ~ c+step ~ c+2 step, c !~ c+2 step
@@ -444,7 +444,7 @@ class TestEigenKernelsAgainstLoops:
 
     @staticmethod
     def assert_same_dedupe(sols):
-        got, ref = _dedupe(sols), loop_dedupe(sols, MERGE)
+        got, ref = _dedupe(sols), loop_dedupe(sols, TOL.merge)
         assert [s.multiplicity_hint for s in got] == [s.multiplicity_hint for s in ref]
         for g, r in zip(got, ref):
             assert g.xi is r.xi and g.residual == r.residual
@@ -464,11 +464,11 @@ class TestEigenKernelsAgainstLoops:
             self.assert_same_dedupe([sols[k] for k in rng.permutation(len(sols))])
 
     def test_dedupe_empty(self):
-        assert _dedupe([]) == loop_dedupe([], MERGE) == []
+        assert _dedupe([]) == loop_dedupe([], TOL.merge) == []
 
     def test_dedupe_random_sets(self, monkeypatch):
         """300 sets: N = 1..9, roots at scales 1e-12 to 1e5, some conjugated
-        (same norm, distinct), copies moved by up to 3 MERGE of their norm,
+        (same norm, distinct), copies moved by up to 3 TOL.merge of their norm,
         and one zero root each. Also with blocks of 3 candidate pairs, so the
         sets span many blocks."""
         rng = np.random.default_rng(13)
@@ -481,13 +481,13 @@ class TestEigenKernelsAgainstLoops:
             n_copies += c
             u = rng.uniform(-1, 1, copies.shape) + 1j * rng.uniform(-1, 1, copies.shape)
             copies += (u / np.abs(u).max(axis=1, keepdims=True)
-                       * rng.uniform(0, 3, (c, 1)) * MERGE
+                       * rng.uniform(0, 3, (c, 1)) * TOL.merge
                        * np.abs(copies).max(axis=1, keepdims=True))
             xis = np.concatenate([base, base[:k // 2].conj(), copies, np.zeros((1, n))])
             sets.append([EigenSolution(xi=x, residual=float(i), multiplicity_hint=1)
                          for i, x in enumerate(xis[rng.permutation(len(xis))])])
         merged = sum(len(sols) - len(self.assert_same_dedupe(sols)) for sols in sets)
-        # the copies land on both sides of MERGE
+        # the copies land on both sides of TOL.merge
         assert 0.2 * n_copies < merged < 0.8 * n_copies
         monkeypatch.setattr(stetter, "_PAIR_BLOCK", 3)
         for sols in sets:
