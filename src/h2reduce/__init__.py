@@ -35,12 +35,14 @@ from .poly import (
 )
 from .reduce import ReductionReport, select_global, solve_reduction
 from .stetter import (
+    Combination,
     DiagQuadSystem,
     EigenSolution,
     EigenSolutionSet,
     MultiplicationMatrices,
     build_critical_value_matrix,
     build_multiplication_matrices,
+    combine,
     common_eigen_solutions,
 )
 from .tf import (
@@ -59,6 +61,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisSizeError",
+    "Combination",
     "ConjugationDefectError",
     "CriticalPoint",
     "DefectiveEigenstructureError",
@@ -85,6 +88,7 @@ __all__ = [
     "build_M",
     "build_critical_value_matrix",
     "build_multiplication_matrices",
+    "combine",
     "common_eigen_solutions",
     "derivative",
     "eval_poly",

@@ -13,6 +13,7 @@ every numerator, and one row sum gives every criterion value phi.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -77,7 +78,10 @@ def build_M(sys: ValidatedSystem) -> np.ndarray:
     rhs = sys.e_at_poles[:, None] * v_plus
     # M v_minus = rhs  <=>  v_minus^T M^T = rhs^T
     m = np.linalg.solve(v_minus.T, rhs.T).T
-    resid = np.linalg.norm(m @ v_minus - rhs) / np.linalg.norm(rhs)
+    # both norms scaled by the same power of two, which is exact, so that
+    # they do not overflow on a huge input
+    scale = math.ldexp(1.0, -math.frexp(np.abs(rhs).max())[1])
+    resid = np.linalg.norm((m @ v_minus - rhs) * scale) / np.linalg.norm(rhs * scale)
     if resid > TOL.build_m_residual:
         raise IllConditionedError(
             f"coupling matrix residual {resid:.3e} exceeds "

@@ -1,11 +1,12 @@
 """End-to-end reduction-by-one pipeline and global selection.
 
 Pipeline: coupling matrix M -> diagonal-quadratic system (mu = 0) ->
-multiplication matrices -> simultaneous eigenvalue tuples -> the root
-ledger (all 2^N roots distinct, exactly one of them the zero root) ->
-candidate models and criterion values for all nonzero tuples in one batch
--> the admissible candidate with the least real positive value, which is
-the global optimum. The wall time of each stage goes into the report's
+a random combination T^T of its multiplication matrices, formed as they
+are filled -> simultaneous eigenvalue tuples -> the root ledger (all 2^N
+roots distinct, exactly one of them the zero root) -> candidate models and
+criterion values for all nonzero tuples in one batch -> the admissible
+candidate with the least real positive value, which is the global
+optimum. The wall time of each stage goes into the report's
 diagnostics as ``stage_s``.
 """
 
@@ -28,7 +29,7 @@ from .foc import CriticalPoint, build_M, criterion_weights, recover_candidates
 from .stetter import (
     DiagQuadSystem,
     build_critical_value_matrix,
-    build_multiplication_matrices,
+    combine,
     common_eigen_solutions,
 )
 from .tf import TransferFunction, ValidatedSystem, h2_distance, h2_norm
@@ -147,24 +148,28 @@ def solve_reduction(
 
     m = build_M(sys)
     t = _lap(stage_s, "build_M", t)
-    mm = build_multiplication_matrices(DiagQuadSystem(m, conj=sys.conj_perm))
+    # one fill gives T^T for the eigen stage, and keeps the matrices only
+    # for the critical-value matrix
+    comb = combine(DiagQuadSystem(m, conj=sys.conj_perm), seed=seed,
+                   keep_matrices=method == "cvm")
     t = _lap(stage_s, "build_mult", t)
 
-    eig = common_eigen_solutions(mm, seed=seed)
+    eig = common_eigen_solutions(comb)
     diagnostics["conjugation_defect"] = eig.conjugation_defect
+    n_vars, dim = comb.system.n_vars, comb.system.dim
     # the root ledger: the optimum is certified only if all 2^N roots are
     # accounted for as distinct, accepted tuples, and mu = 0 makes xi = 0 a
     # simple root, so exactly one of them may lie at zero; a second tuple
     # there is a copy of it standing in for a root never found
-    xis = np.array([s.xi for s in eig.solutions]).reshape(-1, mm.n_vars)
+    xis = np.array([s.xi for s in eig.solutions]).reshape(-1, n_vars)
     sizes = np.abs(xis).max(axis=1)
     at_zero = sizes <= TOL.zero_solution * (1.0 + sizes.max(initial=0.0))
-    if len(xis) != mm.dim or np.count_nonzero(at_zero) != 1:
+    if len(xis) != dim or np.count_nonzero(at_zero) != 1:
         ledger = {"found": len(xis), "rejected": len(eig.rejected),
                   "merged": sum(s.multiplicity_hint - 1 for s in eig.solutions),
                   "at_zero": int(np.count_nonzero(at_zero))}
         raise DefectiveEigenstructureError(
-            f"{ledger['found']} of {mm.dim} roots found "
+            f"{ledger['found']} of {dim} roots found "
             f"({ledger['rejected']} eigenvectors rejected, {ledger['merged']} "
             f"merged), {ledger['at_zero']} of them at the simple root xi = 0; "
             "a missing root could hide a lower critical value",
@@ -174,7 +179,8 @@ def solve_reduction(
 
     match = None
     if method == "cvm":
-        vals = np.linalg.eigvals(build_critical_value_matrix(mm, criterion_weights(sys)))
+        vals = np.linalg.eigvals(
+            build_critical_value_matrix(comb.matrices, criterion_weights(sys)))
         match = partial(_match_critical_values, vals, diagnostics=diagnostics)
         t = _lap(stage_s, "cvm", t)
     candidates, degenerate_q0 = recover_candidates(sys, xis[~at_zero], criterion=match)

@@ -9,27 +9,32 @@ variable x_i (0-based); index 0 is the constant monomial.
 Column k of A_{X_i} holds the square-free normal form of x_i * b_k, where
 b_k is the k-th basis monomial. If b_k lacks x_i, x_i * b_k is itself
 square-free and the column is exactly the unit vector e_{k | 2^i}; only the
-D/2 columns with bit i set, the block B_i, carry numbers, and only they are
-stored, as the rows of B_i^T. There one substitution x_i^2 -> m_i . x + mu_i
-applies, whose result is a combination of the columns b_k / x_i of the
-A_{X_j}, all of degree one less. So the blocks are filled level by level in
-the degree (popcount) of k: for a block of rows gamma of one level, one BLAS
-product of M with the rows gamma of every A_{X_j}^T gives the rows
-gamma | 2^i of every A_{X_i}^T at once, in real arithmetic when M and mu are
-real. A row gamma of A_{X_j}^T is a stored row when gamma has bit j, and
-otherwise the unit row e_{gamma | 2^j}, which enters the product as the
-coefficient m_ij added at column gamma | 2^j. The matrices commute by
-construction, since the leading terms are coprime; a defective build shows
-up as missing or spurious roots, which the root ledger of
-``reduce.solve_reduction`` turns into a numerical error.
+D/2 columns with bit i set, the block B_i, carry numbers, as the rows of
+B_i^T. There one substitution x_i^2 -> m_i . x + mu_i applies, whose result
+is a combination of the columns b_k / x_i of the A_{X_j}, all of degree one
+less. So the fill runs level by level in the degree (popcount) of k: each
+index gamma of one level, with its stored rows of that level (row gamma of
+A_{X_j}^T for each bit j of gamma), gives row gamma | 2^i of A_{X_i}^T for
+each clear bit i by one small BLAS product, in real arithmetic when M and mu
+are real; the products of a block of gammas are one stacked matmul. Row
+gamma of A_{X_j}^T for a clear bit j is the unit row e_{gamma | 2^j}, whose
+coefficient m_ij is added at column gamma | 2^j. The entries are bit for bit
+those of one product of all N rows of M with all N rows gamma, unit rows as
+zero rows. The matrices commute by construction, since the leading terms
+are coprime; a defective fill shows up as missing or spurious roots, which
+the root ledger of ``reduce.solve_reduction`` turns into a numerical error.
 
 The roots are read off the eigenvectors of T^T for a random combination
 T = sum c_i A_{X_i}: each is the evaluation vector (b_k(xi))_k of one root,
-so xi_i is its entry 2^i over its entry 0. T^T is summed from the blocks,
-its N D / 2 unit entries added on top. The system is real up to the
-conjugation of its variables (for the H2 problem, the pairing of conjugate
-poles), and the weights c respect it, so T^T is unitarily similar to a real
-matrix R through a sparse U that mixes each pair of conjugate monomials.
+so xi_i is its entry 2^i over its entry 0. Row k of T^T is
+sum_j c_j (row k of A_{X_j}^T) over the bits j of k, plus the unit entries
+c_j at columns k | 2^j, so it is final once level popcount(k) is built:
+``combine`` forms T^T as the fill runs and holds only two adjacent levels
+at a time, never the A_{X_i}, which it keeps only on request (for the
+critical-value matrix). The system is real up to the conjugation of its
+variables (for the H2 problem, the pairing of conjugate poles), and the
+weights c respect it, so T^T is unitarily similar to a real matrix R
+through a sparse U that mixes each pair of conjugate monomials.
 The eigenvectors come from a real ``eig`` of R, and only the rows 0 and 2^i
 of U times them are formed. The 2^N tuples read off them are then handled
 as one array: all are Newton-polished together, one LAPACK solve per root
@@ -44,11 +49,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List
+from itertools import accumulate
+from math import prod
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import BasisSizeError, ConjugationDefectError
+from .errors import BasisSizeError, ConjugationDefectError, NumericalError
 from .tolerances import TOL
 
 # Largest N accepted; the CLI's --cap may not exceed it either.
@@ -126,19 +133,21 @@ def _bit_rows(a: np.ndarray, i: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MultiplicationMatrices:
-    """The N commuting D x D matrices A_{X_i}, D = 2^N, stored as the blocks
-    the build computes; real if M and mu are.
+    """The N commuting D x D matrices A_{X_i}, D = 2^N, stored as the rows
+    the fill computes; real if M and mu are. The eigen stage does not read
+    them, since the fill forms the one combination it needs as it goes
+    (``combine``); they serve the critical-value matrix and tests.
 
     Column k of A_{X_i} is the unit vector e_{k | 2^i} when k lacks bit i,
-    and those columns stay implicit. ``blocks[i]`` holds the other D/2
-    columns as rows: row r is column gamma | 2^i of A_{X_i}, for the r-th
-    gamma without bit i in increasing order. So the N blocks take
-    N 2^(2N-1) entries, half of the dense stack. ``matrix`` and
-    ``matrices`` expand them, for the critical-value matrix and for tests.
+    and those columns stay implicit. The other D/2 columns, as rows of
+    A_{X_i}^T, make up ``rows``: N 2^(2N-1) entries, half of the dense
+    stack, in the order of the fill (by the degree level of k, then by k,
+    then by i). ``block(i)`` gathers those of one A_{X_i}^T in index order;
+    ``matrix`` and ``matrices`` expand them.
     """
 
     system: DiagQuadSystem
-    blocks: np.ndarray            # shape (N, D/2, D)
+    rows: np.ndarray              # shape (N D/2, D)
 
     @property
     def n_vars(self) -> int:
@@ -148,13 +157,18 @@ class MultiplicationMatrices:
     def dim(self) -> int:
         return self.system.dim
 
+    def block(self, i: int) -> np.ndarray:
+        """Rows gamma | 2^i of A_{X_i}^T, for the gammas without bit i in
+        increasing order: a fresh (D/2, D) array."""
+        return self.rows[_fill_plan(self.n_vars).block_rows[i]]
+
     def matrix(self, i: int) -> np.ndarray:
         """A_{X_i}, expanded from its block: a transposed view of a fresh
         D x D array."""
         dim = self.dim
-        at = np.zeros((dim, dim), dtype=self.blocks.dtype)
+        at = np.zeros((dim, dim), dtype=self.rows.dtype)
         rows = _bit_rows(at, i)
-        rows[...] = self.blocks[i].reshape(rows.shape)
+        rows[...] = self.block(i).reshape(rows.shape)
         gamma = np.flatnonzero(_clear_bits(self.n_vars)[:, i])
         at[gamma, gamma | (1 << i)] = 1.0
         return at.T
@@ -163,6 +177,16 @@ class MultiplicationMatrices:
     def matrices(self) -> np.ndarray:
         """The (N, D, D) stack of all A_{X_i}, expanded afresh on each access."""
         return np.stack([self.matrix(i) for i in range(self.n_vars)])
+
+
+class Combination(NamedTuple):
+    """T^T = sum_i c_i A_{X_i}^T for the weights c of one eigen seed
+    (``_combination_weights``), read-only: all that the eigen stage reads.
+    ``matrices`` holds the A_{X_i} when the fill kept them, else None."""
+
+    system: DiagQuadSystem
+    transpose: np.ndarray         # shape (D, D)
+    matrices: Optional[MultiplicationMatrices] = None
 
 
 @dataclass(frozen=True)
@@ -179,88 +203,225 @@ class EigenSolutionSet:
     conjugation_defect: float     # imaginary part dropped by ``_real_form``
 
 
-# Entries of one A_{X_i}^T that a block of the build's rows spans.
-_BUILD_BLOCK = 1 << 13
+class _Level(NamedTuple):
+    """Index arrays of degree level L of the fill at N = n.
+
+    The level holds row k of A_{X_j}^T for each k of popcount L and each bit
+    j of k, k increasing and then j. ``ks`` (C,) are its indices, ``sets``
+    (C, L) their bits. Toward level L + 1, gamma in ``ks`` multiplies its L
+    rows by the entries ``a_at`` (C, T, L) of [mu | M] (flat positions):
+    M's rows i clear in gamma and columns ``sets[gamma]``. At L = N - 1 the
+    one clear row is taken twice, so that every product is a BLAS matrix
+    product, which sums as the product over all N rows of M does. The
+    addends mu_i and m_ij, j clear, are the entries ``add_at`` of [mu | M];
+    they go to the flat positions ``spots`` of the product buffer (columns
+    gamma and gamma | 2^j). ``dest`` (C (N - L),) is the row of level L + 1
+    that each pair (gamma, clear i) fills; ``step`` the gammas of one
+    stacked product.
+    """
+
+    ks: np.ndarray
+    sets: np.ndarray
+    a_at: np.ndarray
+    add_at: np.ndarray
+    spots: np.ndarray
+    dest: np.ndarray
+    step: int
+
+    @property
+    def size(self) -> int:
+        return self.sets.size
+
+
+class _Plan(NamedTuple):
+    """The ``_Level`` plans of levels 0..N, and where the fill keeps them.
+
+    ``block_rows[i]`` (D/2,) are the rows, among all levels, of the rows
+    gamma | 2^i of A_{X_i}^T, gamma increasing. Kept, level L starts at row
+    ``kept_at[L]``; streamed, at ``streamed_at[L]`` of a buffer of ``width``
+    rows, even levels at its top and odd ones at its bottom, so adjacent
+    levels never overlap. ``buf`` is the size of the product buffer,
+    ``most`` the largest level's count of indices. The unit entries of T^T
+    are c_j at the flat positions ``units`` (k D + k | 2^j, j clear in k),
+    j in ``unit_bits``.
+    """
+
+    levels: tuple
+    block_rows: np.ndarray
+    kept_at: tuple
+    streamed_at: tuple
+    width: int
+    buf: int
+    most: int
+    units: np.ndarray
+    unit_bits: np.ndarray
+
+
+# Entries of the product that one step of the fill forms: bounds its
+# temporaries (1 MB complex).
+_BUILD_BLOCK = 1 << 16
 
 
 @lru_cache(maxsize=None)
-def _fill_plan(n: int):
-    """Index arrays of the fill at N = n; they depend on n alone.
-
-    Row j D/2 + (k with bit j dropped) of the fill's array holds row k of
-    A_{X_j}^T if k has bit j, else row k | 2^j; row n D/2 is zero. The rows
-    gamma are taken in ``order``, sorted by degree level, in blocks of at
-    most ``_BUILD_BLOCK / D`` rows of one level: block k is positions
-    bounds[k]:bounds[k + 1] of ``order``. Returns
-    - ``order``;
-    - ``src`` (N, D): for each j and position, the row that X takes, the
-      zero row where gamma lacks bit j;
-    - for each pair (gamma, i) with bit i clear in gamma, grouped by block
-      (block k has pairs cuts[k]:cuts[k + 1]): i, the row of gamma in its
-      block, the row of the array that the pair fills, and the unit column
-      gamma | 2^i;
-    - ``bounds`` and ``cuts``, as tuples.
-
-    The cache holds one plan per N <= N_CAP, read-only, as every caller
-    shares it.
-    """
+def _fill_plan(n: int) -> _Plan:
+    """The plan of the fill at N = n. It depends on n alone; the cache holds
+    one plan per N <= N_CAP, read-only, as every caller shares it."""
     dim = 1 << n
-    half = dim // 2
-    idx, var = np.arange(dim), np.arange(n)[:, None]
-    clear = _clear_bits(n)
-    dest = var * half + (((idx >> (var + 1)) << var) | (idx & ((1 << var) - 1)))
-    level = n - clear.sum(axis=1)
-    order = np.argsort(level, kind="stable")
-    src = np.where(clear.T, n * half, dest)[:, order]
-    r, i = np.nonzero(clear[order])
-    gamma = order[r]
-    # the last position, with every bit set, is no gamma
-    step = max(1, _BUILD_BLOCK // dim)
-    bounds, end = [], 0
-    for size in np.bincount(level)[:n].tolist():
-        bounds.extend(range(end, end + size, step))
-        end += size
-    bounds.append(end)
-    cuts = np.searchsorted(r, bounds)
-    arrays = (order, src, i, r - np.repeat(bounds[:-1], np.diff(cuts)),
-              dest[i, gamma], gamma | (1 << i))
-    for a in arrays:
+    has = ~_clear_bits(n)
+    popcount = has.sum(axis=1)
+    by_level = np.argsort(popcount, kind="stable")
+    # first[k]: the first row of k among all levels; row (j, k) follows at
+    # the rank of bit j in k
+    first = np.empty(dim, dtype=np.intp)
+    first[by_level] = np.cumsum(popcount[by_level]) - popcount[by_level]
+    where = first[:, None] + np.cumsum(has, axis=1) - 1
+    ends = np.cumsum(np.bincount(popcount, minlength=n + 1)).tolist()
+    levels = []
+    for lv, (lo, hi) in enumerate(zip([0] + ends, ends)):
+        ks = by_level[lo:hi]
+        count = len(ks)
+        sets = np.nonzero(has[ks])[1].reshape(count, lv)
+        clear = np.nonzero(~has[ks])[1].reshape(count, n - lv)
+        outs = (np.repeat(clear, 2, axis=1) if lv == n - 1 else clear)[:, :, None]
+        rows = outs.shape[1]
+        step = max(1, _BUILD_BLOCK // (max(rows, 1) * dim))
+        grown = ks[:, None] | (1 << clear)
+        cols = np.hstack((ks[:, None], grown))
+        block = ((np.arange(count) % step)[:, None] * rows + np.arange(rows)) * dim
+        dest = where[grown, clear] - (first[by_level[hi]] if lv < n else 0)
+        levels.append(_Level(
+            ks=ks, sets=sets, a_at=outs * (n + 1) + sets[:, None, :] + 1,
+            add_at=outs * (n + 1) + np.hstack((np.zeros((count, 1), np.intp), clear + 1))[:, None],
+            spots=block[:, :, None] + cols[:, None, :], dest=dest.ravel(), step=step))
+    k, bits = np.nonzero(~has)
+    units, unit_bits = k * dim + (k | (1 << bits)), bits
+    block_rows = np.stack([where[has[:, i], i] for i in range(n)])
+    for a in (block_rows, units, unit_bits, *(a for lv in levels for a in lv[:-1])):
         a.setflags(write=False)
-    return arrays + (tuple(bounds), tuple(cuts.tolist()))
+    sizes = [lv.size for lv in levels]
+    width = max(a + b for a, b in zip(sizes, sizes[1:]))
+    return _Plan(
+        levels=tuple(levels), block_rows=block_rows,
+        kept_at=tuple(np.cumsum([0] + sizes[:-1]).tolist()),
+        streamed_at=tuple(width - size if lv % 2 else 0 for lv, size in enumerate(sizes)),
+        width=width, buf=max(lv.step * lv.a_at.shape[1] for lv in levels[:-1]) * dim,
+        most=max(len(lv.ks) for lv in levels), units=units, unit_bits=unit_bits)
+
+
+def _next_level(ext: np.ndarray, lv: _Level, src: np.ndarray, dst: np.ndarray,
+                buf: np.ndarray) -> np.ndarray:
+    """Fill ``dst``, the rows of level L + 1, from ``src``, those of level L,
+    whose plan is ``lv``, with ext = [mu | M]; returns ``dst``.
+
+    Row gamma | 2^i of A_{X_i}^T, for gamma without bit i, is mu_i e_gamma
+    plus sum_j m_ij (row gamma of A_{X_j}^T). That row is stored when gamma
+    has bit j; otherwise it is the unit row e_{gamma | 2^j}, whose m_ij goes
+    onto column gamma | 2^j. The stored rows of one gamma are consecutive
+    in ``src``; a block of gammas is one stacked matmul into ``buf``.
+    """
+    count, width = lv.sets.shape
+    dim = src.shape[1]
+    rows, new = lv.a_at.shape[1], lv.add_at.shape[2] - 1
+    x = src.reshape(count, width, dim)
+    a, add = np.take(ext, lv.a_at), np.take(ext, lv.add_at)
+    for lo in range(0, count, lv.step):
+        hi = min(lo + lv.step, count)
+        y = buf[:(hi - lo) * rows * dim].reshape(hi - lo, rows, dim)
+        np.matmul(a[lo:hi], x[lo:hi], out=y)
+        buf[lv.spots[lo:hi]] += add[lo:hi]
+        dst[lv.dest[lo * new:hi * new]] = y[:, :new].reshape(-1, dim)
+    return dst
+
+
+def _transpose_rows(t: np.ndarray, c: np.ndarray, lv: _Level, rows: np.ndarray,
+                    acc: np.ndarray, tmp: np.ndarray) -> None:
+    """Rows ``lv.ks`` of sum_j c_j A_{X_j}^T without its unit entries, from
+    the level's rows: row k is summed from zero over the bits j of k, in
+    increasing order, one scaled row c_j (row k of A_{X_j}^T) at a time, as
+    a sum over whole blocks makes it entry by entry. ``acc`` and ``tmp``
+    are (rows, D) work space.
+    """
+    count, width = lv.sets.shape
+    x = rows.reshape(count, width, t.shape[1])
+    w = c[lv.sets]
+    s = acc[:count]
+    s.fill(0)
+    for j in range(width):
+        s += np.multiply(w[:, j, None], x[:, j], out=tmp[:count])
+    t[lv.ks] = s
+
+
+def _carve(*specs):
+    """Empty arrays of the given (shape, dtype), cut from one allocation.
+
+    One large block is taken from the heap again on the next fill, where
+    separate arrays let malloc return the heap's top to the system between
+    solves and page it in anew: about 3,000 minor faults per example-1
+    solve, and 200 per random N = 3..8 solve.
+    """
+    sizes = [prod(shape) * np.dtype(dtype).itemsize for shape, dtype in specs]
+    block = np.empty(sum(sizes), dtype=np.uint8)
+    return [block[end - size:end].view(dtype).reshape(shape)
+            for (shape, dtype), size, end in zip(specs, sizes, accumulate(sizes))]
+
+
+def _fill(sys: DiagQuadSystem, c: Optional[np.ndarray], keep: bool):
+    """The fill, one degree level at a time, in real arithmetic when M and mu
+    are real. Returns T^T for the weights ``c`` (None if ``c`` is None) and,
+    if ``keep``, the rows of all levels (else None).
+
+    Level L + 1 comes from level L alone, and the rows of T^T of popcount L
+    too, so without ``keep`` only two adjacent levels are held. The
+    unit entries of T^T go on top of the sums at the end. The other
+    temporaries are bounded by ``_BUILD_BLOCK`` or by the largest level's
+    count of indices, and are cut from one allocation (``_carve``).
+    """
+    n, dim = sys.n_vars, sys.dim
+    real = not (sys.m.imag.any() or sys.mu.imag.any())
+    m, mu = (sys.m.real, sys.mu.real) if real else (sys.m, sys.mu)
+    ext = np.concatenate((mu[:, None], m), axis=1)
+    plan = _fill_plan(n)
+    t = None if c is None else np.empty((dim, dim), dtype=np.result_type(c, ext))
+    buf, streamed, (acc, tmp) = _carve(
+        ((plan.buf,), ext.dtype),
+        ((0 if keep else plan.width, dim), ext.dtype),
+        ((2, 0 if t is None else plan.most, dim), ext.dtype if t is None else t.dtype))
+    store = np.empty((n * dim // 2, dim), dtype=ext.dtype) if keep else streamed
+    # a huge M overflows; the eigen stage rejects a T^T that is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lv, start in zip(plan.levels, plan.kept_at if keep else plan.streamed_at):
+            rows = store[start:start + lv.size]
+            if lv.sets.size:    # level 0 has no rows
+                _next_level(ext, prev, src, rows, buf)
+            if t is not None:
+                _transpose_rows(t, c, lv, rows, acc, tmp)
+            prev, src = lv, rows
+        if t is not None:
+            t.reshape(-1)[plan.units] += c[plan.unit_bits]
+    if t is not None:
+        t.setflags(write=False)
+    if not keep:
+        return t, None
+    store.setflags(write=False)
+    return t, store
 
 
 def build_multiplication_matrices(sys: DiagQuadSystem) -> MultiplicationMatrices:
-    """Construct the blocks of all A_{X_i}: float64 when M and mu are real,
+    """Construct the rows of all A_{X_i}: float64 when M and mu are real,
     else complex128."""
-    n, dim = sys.n_vars, sys.dim
-    real = not (sys.m.imag.any() or sys.mu.imag.any())
-    m, mu = (np.ascontiguousarray(sys.m.real), sys.mu.real) if real else (sys.m, sys.mu)
-    # the rows of all N blocks, then one zero row
-    rows = np.zeros((n * dim // 2 + 1, dim), dtype=float if real else complex)
-    # row gamma | 2^i of A_{X_i}^T, for gamma without bit i, is mu_i e_gamma
-    # plus sum_j m_ij (row gamma of A_{X_j}^T), one degree level below: one
-    # product M X per block of a level's rows. Row gamma of A_{X_j}^T is
-    # stored when gamma has bit j; otherwise it is the unit row
-    # e_{gamma | 2^j}, which X holds as the zero row, and m_ij goes onto the
-    # product at column gamma | 2^j, where every stored row of X is zero.
-    order, src, i, r, dest, unit, bounds, cuts = _fill_plan(n)
-    coef = m[:, i]
-    step = max(1, _BUILD_BLOCK // dim)
-    block = np.arange(step)
-    # The blocks bound the temporaries, and they live in two buffers made
-    # once: fresh arrays per block page-fault anew in some heap states,
-    # which doubled ex1's build
-    bufs = np.empty((2, n * step * dim), dtype=rows.dtype)
-    for lo, hi, a, b in zip(bounds, bounds[1:], cuts, cuts[1:]):
-        x, y = (buf[:n * (hi - lo) * dim].reshape(n, hi - lo, dim) for buf in bufs)
-        np.take(rows, src[:, lo:hi].ravel(), axis=0, mode="clip", out=x.reshape(-1, dim))
-        np.matmul(m, x.reshape(n, -1), out=y.reshape(n, -1))
-        y[:, block[:hi - lo], order[lo:hi]] += mu[:, None]
-        y[:, r[a:b], unit[a:b]] += coef[:, a:b]
-        rows[dest[a:b]] = y[i[a:b], r[a:b]]
-    blocks = rows[:-1].reshape(n, dim // 2, dim)
-    blocks.setflags(write=False)
-    return MultiplicationMatrices(system=sys, blocks=blocks)
+    return MultiplicationMatrices(system=sys, rows=_fill(sys, None, keep=True)[1])
+
+
+def combine(sys: DiagQuadSystem, seed: int = 0, keep_matrices: bool = False) -> Combination:
+    """T^T for the weights of ``seed``, formed level by level as the fill
+    runs, so that no A_{X_i} is held whole; with ``keep_matrices`` the same
+    fill also keeps them all, for the critical-value matrix."""
+    c = _combination_weights(sys.conj, seed)
+    if not c.imag.any():
+        c = c.real    # keeps T^T real for a real system
+    t, rows = _fill(sys, c, keep_matrices)
+    return Combination(system=sys, transpose=t,
+                       matrices=None if rows is None else MultiplicationMatrices(sys, rows))
 
 
 def _resid(x: np.ndarray, sys: DiagQuadSystem) -> np.ndarray:
@@ -453,12 +614,14 @@ def _real_form(s: np.ndarray, partner: np.ndarray):
     (e_k + e_l)/sqrt2 in column k and i(e_k - e_l)/sqrt2 in column l. Then
     conj(U) = P U, so conj(R) = U^H P conj(S) P U = R. Returns R and
     max|Im(U^H S U)| / max|R|, which is rounding error when S respects P.
-    ``s`` is overwritten; a real ``s`` without pairs is R itself.
+    A real ``s`` without pairs is R itself; otherwise S U is formed in one
+    complex copy of ``s``.
     """
     k = np.flatnonzero(np.arange(len(partner)) < partner)
     l = partner[k]
     if not k.size and not np.iscomplexobj(s):
         return s, 0.0
+    s = s.astype(complex)
     _mix_pairs(s, k, l, 1j)        # S U
     _mix_pairs(s.T, k, l, -1j)     # U^H (S U), on the rows
     r = s.real.copy()
@@ -478,17 +641,14 @@ def _evaluation_rows(w: np.ndarray, rows: np.ndarray, partner: np.ndarray) -> np
     return v
 
 
-def common_eigen_solutions(
-    mm: MultiplicationMatrices,
-    seed: int = 0,
-) -> EigenSolutionSet:
+def common_eigen_solutions(comb: Combination) -> EigenSolutionSet:
     """All simultaneous eigenvalue tuples of the A_{X_i}.
 
-    One eigen-decomposition of T^T, where T = sum c_i A_{X_i} is a random
-    combination (``_combination_weights``). A_{X_i}^T u = xi_i u holds for the
-    evaluation vector u = (b_k(xi))_k of every root xi, and a generic
-    combination separates the roots, so every eigenvector of T^T is an
-    evaluation vector and xi_i = u[2^i] / u[0].
+    One eigen-decomposition of T^T, where T = sum c_i A_{X_i} is the random
+    combination of ``comb``. A_{X_i}^T u = xi_i u holds for the evaluation
+    vector u = (b_k(xi))_k of every root xi, and a generic combination
+    separates the roots, so every eigenvector of T^T is an evaluation
+    vector and xi_i = u[2^i] / u[0].
 
     The weights respect the system's conjugation, so conj(T) = P T P for the
     permutation P of the basis monomials that it induces, and T^T is
@@ -506,8 +666,8 @@ def common_eigen_solutions(
     ``solutions`` (counted by multiplicity_hint) or in ``rejected``, each
     list in the order of the eigenvectors.
     """
-    sys = mm.system
-    q, defect = _read_off(mm, seed)
+    sys = comb.system
+    q, defect = _read_off(comb)
     finite = np.isfinite(q).all(axis=0)
     # a column that is not finite is rejected as it is; a zero start in its
     # place keeps the batch finite
@@ -523,17 +683,24 @@ def common_eigen_solutions(
                             conjugation_defect=defect)
 
 
-def _read_off(mm: MultiplicationMatrices, seed: int):
+def _read_off(comb: Combination):
     """The tuples xi_i = u[2^i] / u[0] of all 2^N eigenvectors u of T^T, one
-    per column of an (N, 2^N) array, and the conjugation defect of R."""
-    sys = mm.system
+    per column of an (N, 2^N) array, and the conjugation defect of R.
+
+    A T^T that is not finite (the fill overflowed, as a huge input scale
+    makes it) raises ``NumericalError`` before ``eig`` would."""
+    sys, t = comb.system, comb.transpose
+    if not np.isfinite(t).all():
+        bad = int(np.count_nonzero(~np.isfinite(t)))
+        raise NumericalError(
+            f"{bad} entries of the combination of multiplication matrices are "
+            "not finite: the entries of M are too large to multiply out "
+            "(rescale the input)",
+            diagnostics={"nonfinite_entries": bad,
+                         "max_abs_m": float(np.abs(sys.m).max())},
+        )
     partner = sys.basis_conj()
-    c = _combination_weights(sys.conj, seed)
-    if not c.imag.any():
-        c = c.real    # keeps T^T real for real blocks
-    # a complex combination lives only inside _real_form, so it is freed
-    # before eig
-    r, defect = _real_form(_combination_transpose(mm, c), partner)
+    r, defect = _real_form(t, partner)
     if defect > TOL.conjugation:
         raise ConjugationDefectError(
             f"conjugation defect {defect:.3e} exceeds tolerance "
@@ -542,24 +709,10 @@ def _read_off(mm: MultiplicationMatrices, seed: int):
             diagnostics={"conjugation_defect": defect},
         )
     _, w = np.linalg.eig(r)
-    rows = np.concatenate(([0], 1 << np.arange(mm.n_vars)))
+    rows = np.concatenate(([0], 1 << np.arange(sys.n_vars)))
     v = _evaluation_rows(w, rows, partner)
     with np.errstate(divide="ignore", invalid="ignore"):
         return v[1:] / v[0], defect
-
-
-def _combination_transpose(mm: MultiplicationMatrices, c: np.ndarray) -> np.ndarray:
-    """T^T = sum c_i A_{X_i}^T from the blocks: the rows with bit i of
-    A_{X_i}^T are its block, one scaled add each, and the unit entries
-    c_i at (gamma, gamma | 2^i) go on top."""
-    n, dim = mm.n_vars, mm.dim
-    t = np.zeros((dim, dim), dtype=np.result_type(c, mm.blocks))
-    for i in range(n):
-        rows = _bit_rows(t, i)
-        rows += c[i] * mm.blocks[i].reshape(rows.shape)
-    gamma, bits = np.nonzero(_clear_bits(n))
-    t[gamma, gamma | (1 << bits)] += c[bits]
-    return t
 
 
 def build_critical_value_matrix(
@@ -575,7 +728,7 @@ def build_critical_value_matrix(
     if not weights.imag.any():
         weights = weights.real
     dim = mm.dim
-    out = np.zeros((dim, dim), dtype=np.result_type(weights, mm.blocks))
+    out = np.zeros((dim, dim), dtype=np.result_type(weights, mm.rows))
     for i in range(mm.n_vars):
         if weights[i] != 0:
             a = mm.matrix(i)

@@ -11,10 +11,10 @@ annihilation defect multiplies the matrices out against the generators
 they must satisfy, and the commutation defect multiplies them out against
 each other. The exceptions are the references that ``h2reduce.stetter``
 must agree with exactly or to rounding: the column-by-column sweep that
-fills the multiplication matrices, the one-root-at-a-time Newton polish,
-residual and dedupe loops at the end, and the one-tuple-at-a-time
-candidate recovery, which use the library's result types and polynomial
-arithmetic only.
+fills the multiplication matrices, the sum of the combination T^T over
+whole blocks, the one-root-at-a-time Newton polish, residual and dedupe
+loops at the end, and the one-tuple-at-a-time candidate recovery, which
+use the library's result types and polynomial arithmetic only.
 
 Polynomials in N variables are plain dicts {multi-index: coefficient}; a
 multi-index is a length-N tuple of exponents.
@@ -258,6 +258,21 @@ def reference_multiplication_matrices(sys) -> np.ndarray:
                         col += sys.m[i, j] * mats[j, :, gamma]
                 mats[i, :, beta] = col
     return mats
+
+
+def combination_transpose(mm, c) -> np.ndarray:
+    """T^T = sum c_i A_{X_i}^T summed from whole blocks: the rows with bit i
+    of A_{X_i}^T are its block, one scaled add each, and the unit entries
+    c_i at (gamma, gamma | 2^i) go on top. ``stetter.combine`` forms T^T
+    level by level as the fill runs, with the same operations per entry."""
+    n, dim = mm.n_vars, mm.dim
+    t = np.zeros((dim, dim), dtype=np.result_type(c, mm.rows))
+    for i in range(n):
+        rows = t.reshape(-1, 2, 1 << i, dim)[:, 1]
+        rows += c[i] * mm.block(i).reshape(rows.shape)
+    gamma, bits = np.nonzero(((np.arange(dim)[:, None] >> np.arange(n)) & 1) == 0)
+    t[gamma, gamma | (1 << bits)] += c[bits]
+    return t
 
 
 def dense_commutation_defect(mats) -> float:

@@ -28,6 +28,7 @@ from h2reduce import (
     build_M,
     build_critical_value_matrix,
     build_multiplication_matrices,
+    combine,
     common_eigen_solutions,
     generate_relaxation,
     h2_distance,
@@ -232,7 +233,7 @@ def test_criterion_5_algebraic_invariants():
         ref = normal_form(f, sys) + 1.5 * normal_form(g, sys)
         worst_nf = max(worst_nf, np.max(np.abs(lin - ref)) / (1 + np.max(np.abs(ref))))
 
-        sols = [s.xi for s in common_eigen_solutions(mm, seed=0).solutions]
+        sols = [s.xi for s in common_eigen_solutions(combine(sys, seed=0)).solutions]
         big = max(np.max(np.abs(x)) for x in sols)
         nonzero = [x for x in sols if np.max(np.abs(x)) > 1e-9 * (1 + big)]
         if len(nonzero) > 2**n - 1:

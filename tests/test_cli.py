@@ -167,6 +167,16 @@ class TestMainExitCodes:
                     "conjugation_defect"):
             assert f"  {key}: " in err
 
+    def test_overflowing_input_exits_4(self, tmp_path, capsys):
+        # a finite input whose scale overflows the multiplication matrices:
+        # a typed numerical error before eig, not a LinAlgError traceback
+        path = write_system(tmp_path, "huge.txt", ["1e300"], [1, 3, 2])
+        assert main(["--input", path]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error (numerical): ") and "not finite" in err
+        assert "  nonfinite_entries: " in err and "  max_abs_m: " in err
+        assert "Traceback" not in err
+
     def test_first_order_input_exits_1(self, capsys):
         assert main(["--relaxation", "N=1", "alpha=0.5"]) == 1
         err = capsys.readouterr().err

@@ -11,7 +11,7 @@ from h2reduce import (
     Polynomial,
     TransferFunction,
     build_M,
-    build_multiplication_matrices,
+    combine,
     common_eigen_solutions,
     eval_poly,
     generate_relaxation,
@@ -145,12 +145,11 @@ class TestFocResidual:
 
     def test_defining_relations_hold_at_recovered_points(self):
         # x_i^2 = (M x)_i within 1e-6 relative at each recovered candidate
-        from h2reduce import DiagQuadSystem, build_multiplication_matrices, common_eigen_solutions
+        from h2reduce import DiagQuadSystem, combine, common_eigen_solutions
         rng = np.random.default_rng(77)
         sys = validate(random_stable_system(rng, 4))
         m = build_M(sys)
-        mm = build_multiplication_matrices(DiagQuadSystem(m, conj=sys.conj_perm))
-        for s in common_eigen_solutions(mm).solutions:
+        for s in common_eigen_solutions(combine(DiagQuadSystem(m, conj=sys.conj_perm))).solutions:
             x = s.xi
             if np.max(np.abs(x)) < 1e-9:
                 continue
@@ -160,8 +159,8 @@ class TestFocResidual:
 
 def nonzero_roots(sys):
     """The eigen stage's nonzero tuples of sys, as a (k, N) array."""
-    mm = build_multiplication_matrices(DiagQuadSystem(build_M(sys), conj=sys.conj_perm))
-    xis = np.array([s.xi for s in common_eigen_solutions(mm).solutions])
+    comb = combine(DiagQuadSystem(build_M(sys), conj=sys.conj_perm))
+    xis = np.array([s.xi for s in common_eigen_solutions(comb).solutions])
     return xis[np.abs(xis).max(axis=1) > 1e-9 * (1.0 + np.abs(xis).max())]
 
 

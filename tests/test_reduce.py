@@ -1,4 +1,5 @@
 import inspect
+from math import comb
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from h2reduce import (
     DefectiveEigenstructureError,
     DiagQuadSystem,
     InputError,
-    MultiplicationMatrices,
     NoAdmissibleSolutionError,
     NumericalError,
     Polynomial,
@@ -30,6 +30,7 @@ from dataclasses import replace
 
 import h2reduce.foc as foc_mod
 import h2reduce.reduce as reduce_mod
+import h2reduce.stetter as stetter
 from h2reduce.foc import critical_values, criterion_weights
 from h2reduce.tolerances import TOL
 
@@ -143,31 +144,35 @@ class TestSolveReduction:
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_defective_build_never_exits_0(self, monkeypatch, n, size, method):
         # matrices that do not commute, as a faulty fill would leave them:
-        # the columns with bit i of each A_i get a real random perturbation
-        # of the given size relative to that block (Frobenius). The poles
-        # are real, so the identity conjugation leaves R real and the
-        # conjugation check cannot fire; the root ledger must stop the solve
-        # unless the optimum survives
+        # each degree level the fill builds gets a real random perturbation
+        # of the given size relative to that level (Frobenius), which flows
+        # into the levels above it, into T^T and, for cvm, into the kept
+        # matrices. The poles are real, so the identity conjugation leaves R
+        # real and the conjugation check cannot fire; the root ledger must
+        # stop the solve unless the optimum survives
         sys = validate(generate_relaxation(n, 0.8))
         phi = solve_reduction(sys).global_candidate.criterion.real
-        build = reduce_mod.build_multiplication_matrices
+        build = stetter._next_level
         rng = np.random.default_rng(n)
+        built = []
 
-        def defective(dq):
-            # blocks[i] holds the columns with bit i of A_i as rows
-            blocks = np.array(build(dq).blocks)
-            for i in range(dq.n_vars):
-                e = rng.standard_normal((dq.dim, dq.dim // 2))
-                blocks[i] += (size * np.linalg.norm(blocks[i]) / np.linalg.norm(e)) * e.T
-            return MultiplicationMatrices(system=dq, blocks=blocks)
+        def defective(*args):
+            rows = build(*args)
+            e = rng.standard_normal(rows.shape)
+            rows += (size * np.linalg.norm(rows) / np.linalg.norm(e)) * e
+            built.append(len(rows))
+            return rows
 
-        monkeypatch.setattr(reduce_mod, "build_multiplication_matrices", defective)
+        monkeypatch.setattr(stetter, "_next_level", defective)
         try:
             rep = solve_reduction(sys, method=method)
         except NumericalError as exc:
             assert not isinstance(exc, ConjugationDefectError)
-            return
-        assert rep.global_candidate.criterion.real == pytest.approx(phi, rel=1e-8)
+            rep = None
+        # the solve ran the one fill, and every level above 0 went through it
+        assert built == [lv * comb(n, lv) for lv in range(1, n + 1)]
+        if rep is not None:
+            assert rep.global_candidate.criterion.real == pytest.approx(phi, rel=1e-8)
 
     def test_extra_zero_tuples_fail_loudly(self):
         # cond M = 5.6e8: at eigen seeds 1 and 5 the read-off returns 32

@@ -6,6 +6,7 @@ import pytest
 from conftest import random_real_pole_system, random_stable_system
 from oracles import (
     annihilation_defect,
+    combination_transpose,
     dense_commutation_defect,
     elimination_solutions_n2,
     evaluate_poly_at_matrices,
@@ -26,6 +27,7 @@ from h2reduce import (
     build_M,
     build_critical_value_matrix,
     build_multiplication_matrices,
+    combine,
     common_eigen_solutions,
     generate_relaxation,
     validate,
@@ -93,47 +95,71 @@ class TestBuildMultiplicationMatrices:
                 for g, r in zip(got, ref):
                     assert np.abs(g - r).max() <= 1e-14 * np.abs(r).max()
 
-    @pytest.mark.parametrize("real", [False, True])
-    def test_build_memory_bound(self, real):
-        # only the blocks are stored, and the fill's temporaries are bounded
-        # by its row blocks: the dense (N, D, D) stack alone would exceed
-        # the bound at N = 9, as would a whole degree level at once
+    @staticmethod
+    def traced_peak(build, real):
+        """The result of ``build`` on a seeded N = 9 system with mu != 0,
+        real or complex, and the tracemalloc peak of the call."""
         rng = np.random.default_rng(70)
         m = rng.uniform(-2, 2, size=(9, 9))
         sys = DiagQuadSystem(m if real else m + 1j * rng.uniform(-2, 2, size=(9, 9)),
                              mu=rng.uniform(-2, 2, size=9))
         tracemalloc.start()
         try:
-            mm = build_multiplication_matrices(sys)
+            out = build(sys)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert mm.blocks.dtype == (np.float64 if real else np.complex128)
-        assert mm.blocks.shape == (9, 256, 512)
-        assert peak <= mm.blocks.nbytes + 4 * 2**20
-        assert 9 * 512 * 512 * mm.blocks.itemsize > mm.blocks.nbytes + 4 * 2**20
+        return out, peak
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_build_memory_bound(self, real):
+        # only the blocks are stored, and the fill's temporaries are bounded
+        # by its row blocks: the dense (N, D, D) stack alone would exceed
+        # the bound at N = 9, as would a whole degree level at once
+        mm, peak = self.traced_peak(build_multiplication_matrices, real)
+        assert mm.rows.dtype == (np.float64 if real else np.complex128)
+        assert mm.rows.shape == (9 * 256, 512)
+        assert peak <= mm.rows.nbytes + 4 * 2**20
+        assert 9 * 512 * 512 * mm.rows.itemsize > mm.rows.nbytes + 4 * 2**20
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_combination_memory_bound(self, real):
+        # T^T is formed as the fill runs, from two adjacent degree levels at
+        # a time, so forming it takes less memory than the blocks of the
+        # same system alone; summing it from the blocks would need both
+        comb, peak = self.traced_peak(combine, real)
+        assert comb.matrices is None
+        assert comb.transpose.dtype == (np.float64 if real else np.complex128)
+        assert peak < build_multiplication_matrices(comb.system).rows.nbytes
 
     @pytest.mark.parametrize("family", ["real", "complex", "pairs"])
     @pytest.mark.parametrize("n", range(2, 10))
     def test_combination_matches_dense(self, family, n):
-        # T^T summed from the blocks, unit entries on top, against the
-        # combination of the expanded matrices; it sums in another order
+        # T^T formed level by level as the fill runs, streamed or with the
+        # matrices kept, equals the sum over whole blocks (oracles.py) and
+        # agrees with the combination of the expanded matrices, which sums
+        # in another order
         rng = np.random.default_rng(80 + n)
         if family == "pairs":
-            mm = pole_matrices(validate(pole_pair_system(rng, n)))
+            sys = pole_system(validate(pole_pair_system(rng, n)))
         else:
             m = rng.uniform(-2, 2, size=(n, n))
             if family == "complex":
                 m = m + 1j * rng.uniform(-2, 2, size=(n, n))
-            mm = build_multiplication_matrices(DiagQuadSystem(m, mu=rng.uniform(-2, 2, n)))
+            sys = DiagQuadSystem(m, mu=rng.uniform(-2, 2, n))
+        mm = build_multiplication_matrices(sys)
         for seed in (0, 1):
-            c = _combination_weights(mm.system.conj, seed)
-            if family == "real":
+            c = _combination_weights(sys.conj, seed)
+            if family != "pairs":
                 c = c.real
             want = np.tensordot(c, mm.matrices, axes=1).T
-            got = stetter._combination_transpose(mm, c)
-            assert got.dtype == want.dtype
-            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+            oracle = combination_transpose(mm, c)
+            kept = combine(sys, seed, keep_matrices=True)
+            assert kept.matrices.rows.tobytes() == mm.rows.tobytes()
+            for got in (combine(sys, seed).transpose, kept.transpose):
+                assert got.dtype == oracle.dtype == want.dtype
+                assert np.array_equal(got, oracle)
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_commutation(self):
         rng = np.random.default_rng(0)
@@ -163,8 +189,7 @@ class TestCommonEigenSolutions:
             m = rng.uniform(-2, 2, size=(2, 2))
             if abs(m[0, 1]) < 0.1:
                 continue
-            mm = build_multiplication_matrices(DiagQuadSystem(m))
-            sols = common_eigen_solutions(mm).solutions
+            sols = common_eigen_solutions(combine(DiagQuadSystem(m))).solutions
             got = [s.xi for s in sols]
             ref = elimination_solutions_n2(m)
             # dedupe oracle list the same way (double roots at zero)
@@ -180,8 +205,7 @@ class TestCommonEigenSolutions:
         for _ in range(10):
             n = int(rng.integers(2, 6))
             sys = random_system(rng, n, with_mu=True)
-            mm = build_multiplication_matrices(sys)
-            for s in common_eigen_solutions(mm).solutions:
+            for s in common_eigen_solutions(combine(sys)).solutions:
                 x = s.xi
                 resid = np.abs(x**2 - sys.m @ x - sys.mu)
                 assert np.max(resid) <= 1e-6 * (1 + np.max(np.abs(x)) ** 2)
@@ -190,8 +214,7 @@ class TestCommonEigenSolutions:
         rng = np.random.default_rng(17)
         for _ in range(10):
             n = int(rng.integers(2, 7))
-            mm = build_multiplication_matrices(random_system(rng, n))
-            sols = common_eigen_solutions(mm).solutions
+            sols = common_eigen_solutions(combine(random_system(rng, n))).solutions
             nonzero = [s for s in sols
                        if np.linalg.norm(s.xi, np.inf) > 1e-9 *
                        (1 + max(np.linalg.norm(t.xi, np.inf) for t in sols))]
@@ -202,27 +225,30 @@ class TestCommonEigenSolutions:
         for _ in range(10):
             n = int(rng.integers(2, 6))
             sys = random_system(rng, n)
-            mm = build_multiplication_matrices(sys)
-            sols = [s.xi for s in common_eigen_solutions(mm).solutions]
+            sols = [s.xi for s in common_eigen_solutions(combine(sys)).solutions]
             for x in sols:
                 gap = min(np.max(np.abs(np.conj(x) - y)) for y in sols)
                 assert gap <= 1e-5 * (1 + np.max(np.abs(x)))
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(31)
-        sys = random_system(rng, 4)
-        mm = build_multiplication_matrices(sys)
-        a = common_eigen_solutions(mm, seed=7)
-        b = common_eigen_solutions(mm, seed=7)
+        comb = combine(random_system(rng, 4), seed=7)
+        a = common_eigen_solutions(comb)
+        b = common_eigen_solutions(comb)
         assert len(a.solutions) == len(b.solutions)
         for x, y in zip(a.solutions, b.solutions):
             assert np.array_equal(x.xi, y.xi)
 
 
-def pole_matrices(sys):
-    """Multiplication matrices of a validated system, with its pole
+def pole_system(sys):
+    """The diagonal-quadratic system of a validated system, with its pole
     conjugation declared as the solve does."""
-    return build_multiplication_matrices(DiagQuadSystem(build_M(sys), conj=sys.conj_perm))
+    return DiagQuadSystem(build_M(sys), conj=sys.conj_perm)
+
+
+def pole_matrices(sys):
+    """Multiplication matrices of a validated system, as in ``pole_system``."""
+    return build_multiplication_matrices(pole_system(sys))
 
 
 @pytest.fixture(scope="module")
@@ -281,15 +307,15 @@ class TestRealForm:
 
     @pytest.mark.parametrize("family", ["real", "pairs"])
     def test_real_stack_matches_complex(self, family):
-        # real poles give float64 blocks, a real T^T and no pairs to mix;
-        # the same blocks cast to complex take the complex path of
-        # _real_form. Complex poles give complex128 blocks whose pairs mix
+        # real poles give a float64 T^T with no pairs to mix; the same T^T
+        # cast to complex takes the complex path of _real_form. Complex
+        # poles give a complex128 T^T whose pairs mix
         tf = (generate_relaxation(5, 0.6) if family == "real"
               else pole_pair_system(np.random.default_rng(5), 5))
-        mm = pole_matrices(validate(tf))
-        assert mm.blocks.dtype == (np.float64 if family == "real" else np.complex128)
+        comb = combine(pole_system(validate(tf)))
+        assert comb.transpose.dtype == (np.float64 if family == "real" else np.complex128)
         eigs = [common_eigen_solutions(x) for x in
-                (mm, MultiplicationMatrices(mm.system, mm.blocks.astype(complex)))]
+                (comb, comb._replace(transpose=comb.transpose.astype(complex)))]
         for eig in eigs:
             assert len(eig.solutions) == 32 and not eig.rejected
             assert all(s.multiplicity_hint == 1 for s in eig.solutions)
@@ -318,11 +344,10 @@ class TestRealForm:
             sys = validate(random_stable_system(rng, n))
             if np.any(sys.conj_perm != np.arange(n)):
                 break
-        mm = build_multiplication_matrices(DiagQuadSystem(build_M(sys)))
         with pytest.raises(ConjugationDefectError) as exc:
-            common_eigen_solutions(mm)
+            common_eigen_solutions(combine(DiagQuadSystem(build_M(sys))))
         assert exc.value.diagnostics["conjugation_defect"] > 1e-10
-        assert common_eigen_solutions(pole_matrices(sys)).conjugation_defect <= 1e-12
+        assert common_eigen_solutions(combine(pole_system(sys))).conjugation_defect <= 1e-12
 
 
 class TestEigenKernelsAgainstLoops:
@@ -347,7 +372,7 @@ class TestEigenKernelsAgainstLoops:
             assert np.max(err) <= 1e-10
 
     def test_readoff_example1(self, example1_matrices):
-        eig = common_eigen_solutions(example1_matrices)
+        eig = common_eigen_solutions(combine(example1_matrices.system))
         # all 2^9 roots, each accepted and none merged with another
         assert len(eig.solutions) == 512 and not eig.rejected
         assert all(s.multiplicity_hint == 1 for s in eig.solutions)
@@ -358,7 +383,7 @@ class TestEigenKernelsAgainstLoops:
     def test_readoff_random(self, n):
         rng = np.random.default_rng(40 + n)
         sys = random_system(rng, n, with_mu=True)
-        eig = common_eigen_solutions(build_multiplication_matrices(sys))
+        eig = common_eigen_solutions(combine(sys))
         assert len(eig.solutions) == 1 << n and not eig.rejected
         self.assert_roots_of_quotient(sys, [s.xi for s in eig.solutions])
 
@@ -379,7 +404,7 @@ class TestEigenKernelsAgainstLoops:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_polish_matches_loop_example1(self, example1_matrices):
-        q, _ = _read_off(example1_matrices, 0)
+        q, _ = _read_off(combine(example1_matrices.system, 0))
         self.assert_polish_matches_loops(example1_matrices.system, q)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -389,11 +414,11 @@ class TestEigenKernelsAgainstLoops:
         rng = np.random.default_rng(60 + n)
         tf = (random_real_pole_system(rng, n, lo=-6.0) if family == "real"
               else pole_pair_system(rng, n))
-        mm = pole_matrices(validate(tf))
+        sys = pole_system(validate(tf))
         for seed in (0, 1):
-            q, _ = _read_off(mm, seed)
+            q, _ = _read_off(combine(sys, seed))
             assert np.isfinite(q).all()
-            self.assert_polish_matches_loops(mm.system, q)
+            self.assert_polish_matches_loops(sys, q)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("dense", [False, True])
@@ -536,7 +561,7 @@ class TestCriticalValueMatrix:
         a_f = build_critical_value_matrix(mm, w)
         assert a_f.dtype == np.float64
         ref_f = build_critical_value_matrix(
-            MultiplicationMatrices(mm.system, mm.blocks.astype(complex)), w)
+            MultiplicationMatrices(mm.system, mm.rows.astype(complex)), w)
         assert ref_f.dtype == np.complex128
         # every eigenvalue of each lies next to one of the other; values at
         # near-equal roots cluster, so they are not paired one to one
