@@ -12,7 +12,6 @@ from .errors import (
     BasisSizeError,
     ConjugationDefectError,
     DefectiveEigenstructureError,
-    DegenerateLeadingCoefficientError,
     H2ReduceError,
     IllConditionedError,
     InputError,
@@ -24,15 +23,8 @@ from .errors import (
     UnstablePoleError,
     ValidationError,
 )
-from .foc import CriticalPoint, build_M, recover_candidate, recover_candidates
-from .poly import (
-    Polynomial,
-    derivative,
-    eval_poly,
-    is_hurwitz,
-    reflect,
-    roots,
-)
+from .foc import CriticalPoint, build_M, recover_candidates
+from .poly import Polynomial, derivative, eval_poly, roots
 from .reduce import ReductionReport, select_global, solve_reduction
 from .stetter import (
     Combination,
@@ -41,7 +33,6 @@ from .stetter import (
     EigenSolutionSet,
     MultiplicationMatrices,
     build_critical_value_matrix,
-    build_multiplication_matrices,
     combine,
     common_eigen_solutions,
 )
@@ -65,7 +56,6 @@ __all__ = [
     "ConjugationDefectError",
     "CriticalPoint",
     "DefectiveEigenstructureError",
-    "DegenerateLeadingCoefficientError",
     "DiagQuadSystem",
     "EigenSolution",
     "EigenSolutionSet",
@@ -87,7 +77,6 @@ __all__ = [
     "ValidationError",
     "build_M",
     "build_critical_value_matrix",
-    "build_multiplication_matrices",
     "combine",
     "common_eigen_solutions",
     "derivative",
@@ -96,10 +85,7 @@ __all__ = [
     "generate_relaxation",
     "h2_distance",
     "h2_norm",
-    "is_hurwitz",
-    "recover_candidate",
     "recover_candidates",
-    "reflect",
     "roots",
     "select_global",
     "solve_reduction",

@@ -69,10 +69,6 @@ class DefectiveEigenstructureError(NumericalError):
     """Fewer than 2^N distinct roots could be read off the eigenvectors."""
 
 
-class DegenerateLeadingCoefficientError(NumericalError):
-    """Recovered polynomial has (numerically) vanishing leading coefficient."""
-
-
 class NoAdmissibleSolutionError(H2ReduceError):
     """Every critical-point candidate was rejected."""
 

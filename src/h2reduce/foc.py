@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DegenerateLeadingCoefficientError, IllConditionedError
+from .errors import IllConditionedError
 from .poly import Polynomial
 from .tf import ValidatedSystem
 from .tolerances import TOL
@@ -99,8 +99,10 @@ def criterion_weights(sys: ValidatedSystem) -> np.ndarray:
 
 def critical_values(sys: ValidatedSystem, xis: np.ndarray) -> np.ndarray:
     """phi(xi) = sum_i xi_i^3 w_i over the last axis of xis; the squared H2
-    error at real critical points."""
-    return np.sum(xis**3 * criterion_weights(sys), axis=-1)
+    error at real critical points. A tuple too large to cube gives a phi that
+    is not finite, quietly: ``solve_reduction`` reports it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.sum(xis**3 * criterion_weights(sys), axis=-1)
 
 
 def _shifts(c: np.ndarray, rows: int) -> np.ndarray:
@@ -188,20 +190,3 @@ def recover_candidates(
     ]
     return candidates, int(np.count_nonzero(~keep))
 
-
-def recover_candidate(sys: ValidatedSystem, xi: Sequence[complex]) -> CriticalPoint:
-    """Map one eigenvalue tuple xi back to a candidate (a, b, q0).
-
-    The one-row case of ``recover_candidates``; raises
-    DegenerateLeadingCoefficientError where that drops the row.
-    """
-    xi = np.atleast_1d(np.asarray(xi, dtype=complex))
-    if xi.shape != (sys.n,):
-        raise ValueError("xi must have one entry per pole")
-    candidates, _ = recover_candidates(sys, xi[None, :])
-    if not candidates:
-        raise DegenerateLeadingCoefficientError(
-            "leading coefficient of the recovered polynomial is numerically "
-            "zero; candidate cannot be normalized to monic form"
-        )
-    return candidates[0]

@@ -11,8 +11,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .tolerances import TOL
-
 
 def _trim(coeffs: np.ndarray) -> np.ndarray:
     """Strip leading zero coefficients, keeping at least one entry."""
@@ -54,20 +52,8 @@ class Polynomial:
             np.all(self.coeffs.imag == 0)
         )
 
-    def real(self) -> "Polynomial":
-        return Polynomial(np.real(self.coeffs))
-
     def monic(self) -> "Polynomial":
         return Polynomial(self.coeffs / self.coeffs[0])
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(np.convolve(self.coeffs, other.coeffs))
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(np.polyadd(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(np.polysub(self.coeffs, other.coeffs))
 
     def scale(self, c: complex) -> "Polynomial":
         return Polynomial(c * self.coeffs)
@@ -90,30 +76,9 @@ def derivative(p: Polynomial) -> Polynomial:
     return Polynomial(np.polyder(p.coeffs))
 
 
-def reflect(p: Polynomial) -> Polynomial:
-    """s -> p(-s): flips the sign of odd-degree coefficients."""
-    out = np.array(p.coeffs)
-    deg = p.degree
-    for k in range(len(out)):
-        if (deg - k) % 2:
-            out[k] = -out[k]
-    return Polynomial(out)
-
-
 def roots(p: Polynomial) -> np.ndarray:
     """All roots with multiplicity, via the balanced companion matrix."""
     if p.degree < 1 or p.is_zero:
         raise ValueError("no roots defined for constant or zero polynomial")
     return np.roots(p.coeffs)
 
-
-def is_hurwitz(p: Polynomial) -> bool:
-    """True iff every root lies strictly left of -TOL.hurwitz.
-
-    Degree-0 polynomials are vacuously Hurwitz.
-    """
-    if not p.is_real:
-        raise ValueError("Hurwitz test requires real polynomial")
-    if p.degree == 0:
-        return True
-    return bool(np.all(roots(p).real < -TOL.hurwitz))

@@ -53,12 +53,6 @@ class ReductionReport:
     def relative_error(self) -> float:
         return self.global_error / self.system_norm
 
-    @property
-    def approximant(self) -> Optional[TransferFunction]:
-        if self.global_candidate is None:
-            return None
-        return TransferFunction(self.global_candidate.b, self.global_candidate.a)
-
 
 def _is_real_positive(v: complex) -> bool:
     return abs(v.imag) <= TOL.value_real * (1.0 + abs(v)) and v.real > 0
@@ -190,6 +184,15 @@ def solve_reduction(
     t = _lap(stage_s, "recover", t)
 
     admissible = [cp for cp in candidates if cp.is_admissible]
+    # a phi that is not finite (xi^3 overflowed) cannot be ranked, and
+    # skipping it could hide the optimum
+    nonfinite = sum(not np.isfinite(cp.criterion) for cp in admissible)
+    if nonfinite:
+        raise NumericalError(
+            f"{nonfinite} admissible candidates have a criterion value that is "
+            "not finite: the input scale overflows it (rescale the input)",
+            diagnostics={**diagnostics, "nonfinite_criteria": nonfinite},
+        )
     norm = h2_norm(sys)
 
     best = select_global(candidates)

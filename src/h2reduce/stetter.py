@@ -143,7 +143,7 @@ class MultiplicationMatrices:
     A_{X_i}^T, make up ``rows``: N 2^(2N-1) entries, half of the dense
     stack, in the order of the fill (by the degree level of k, then by k,
     then by i). ``block(i)`` gathers those of one A_{X_i}^T in index order;
-    ``matrix`` and ``matrices`` expand them.
+    ``matrix`` expands them.
     """
 
     system: DiagQuadSystem
@@ -172,11 +172,6 @@ class MultiplicationMatrices:
         gamma = np.flatnonzero(_clear_bits(self.n_vars)[:, i])
         at[gamma, gamma | (1 << i)] = 1.0
         return at.T
-
-    @property
-    def matrices(self) -> np.ndarray:
-        """The (N, D, D) stack of all A_{X_i}, expanded afresh on each access."""
-        return np.stack([self.matrix(i) for i in range(self.n_vars)])
 
 
 class Combination(NamedTuple):
@@ -365,10 +360,10 @@ def _carve(*specs):
             for (shape, dtype), size, end in zip(specs, sizes, accumulate(sizes))]
 
 
-def _fill(sys: DiagQuadSystem, c: Optional[np.ndarray], keep: bool):
+def _fill(sys: DiagQuadSystem, c: np.ndarray, keep: bool):
     """The fill, one degree level at a time, in real arithmetic when M and mu
-    are real. Returns T^T for the weights ``c`` (None if ``c`` is None) and,
-    if ``keep``, the rows of all levels (else None).
+    are real. Returns T^T for the weights ``c`` and, if ``keep``, the rows of
+    all levels (else None).
 
     Level L + 1 comes from level L alone, and the rows of T^T of popcount L
     too, so without ``keep`` only two adjacent levels are held. The
@@ -381,11 +376,11 @@ def _fill(sys: DiagQuadSystem, c: Optional[np.ndarray], keep: bool):
     m, mu = (sys.m.real, sys.mu.real) if real else (sys.m, sys.mu)
     ext = np.concatenate((mu[:, None], m), axis=1)
     plan = _fill_plan(n)
-    t = None if c is None else np.empty((dim, dim), dtype=np.result_type(c, ext))
+    t = np.empty((dim, dim), dtype=np.result_type(c, ext))
     buf, streamed, (acc, tmp) = _carve(
         ((plan.buf,), ext.dtype),
         ((0 if keep else plan.width, dim), ext.dtype),
-        ((2, 0 if t is None else plan.most, dim), ext.dtype if t is None else t.dtype))
+        ((2, plan.most, dim), t.dtype))
     store = np.empty((n * dim // 2, dim), dtype=ext.dtype) if keep else streamed
     # a huge M overflows; the eigen stage rejects a T^T that is not finite
     with np.errstate(over="ignore", invalid="ignore"):
@@ -393,23 +388,13 @@ def _fill(sys: DiagQuadSystem, c: Optional[np.ndarray], keep: bool):
             rows = store[start:start + lv.size]
             if lv.sets.size:    # level 0 has no rows
                 _next_level(ext, prev, src, rows, buf)
-            if t is not None:
-                _transpose_rows(t, c, lv, rows, acc, tmp)
+            _transpose_rows(t, c, lv, rows, acc, tmp)
             prev, src = lv, rows
-        if t is not None:
-            t.reshape(-1)[plan.units] += c[plan.unit_bits]
-    if t is not None:
-        t.setflags(write=False)
-    if not keep:
-        return t, None
-    store.setflags(write=False)
-    return t, store
-
-
-def build_multiplication_matrices(sys: DiagQuadSystem) -> MultiplicationMatrices:
-    """Construct the rows of all A_{X_i}: float64 when M and mu are real,
-    else complex128."""
-    return MultiplicationMatrices(system=sys, rows=_fill(sys, None, keep=True)[1])
+        t.reshape(-1)[plan.units] += c[plan.unit_bits]
+    t.setflags(write=False)
+    if keep:
+        store.setflags(write=False)
+    return t, store if keep else None
 
 
 def combine(sys: DiagQuadSystem, seed: int = 0, keep_matrices: bool = False) -> Combination:

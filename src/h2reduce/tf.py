@@ -41,9 +41,6 @@ class TransferFunction:
         object.__setattr__(self, "numerator", numerator.scale(1.0 / lead))
         object.__setattr__(self, "denominator", denominator.monic())
 
-    def __call__(self, s: complex) -> complex:
-        return eval_poly(self.numerator, s) / eval_poly(self.denominator, s)
-
 
 def strip_feedthrough(numerator: Polynomial, denominator: Polynomial) -> TransferFunction:
     """Remove the direct feedthrough by polynomial division.
@@ -127,6 +124,8 @@ def validate(tf: TransferFunction) -> ValidatedSystem:
         )
     if d.degree < 1:
         raise ValidationError("denominator must have degree >= 1")
+    if e.is_zero:
+        raise ValidationError("the numerator is identically zero: nothing to reduce")
 
     poles = roots(d)
     poles = poles[np.lexsort((poles.imag, poles.real))]

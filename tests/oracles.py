@@ -4,8 +4,8 @@ Nothing here reuses pipeline internals: the norm oracle integrates the
 frequency response, the small-N solution oracles eliminate variables by
 hand / lex Groebner bases, the global-minimum oracle is a multi-start
 simplex search over the raw approximant parameters, the first-order
-residual multiplies out the defining polynomial identity (with the
-library's polynomial arithmetic only), and the normal-form reference
+residual multiplies out the defining polynomial identity (with numpy's
+polynomial arithmetic only), and the normal-form reference
 rewrites polynomials term by term instead of filling matrix columns; the
 annihilation defect multiplies the matrices out against the generators
 they must satisfy, and the commutation defect multiplies them out against
@@ -14,7 +14,11 @@ must agree with exactly or to rounding: the column-by-column sweep that
 fills the multiplication matrices, the sum of the combination T^T over
 whole blocks, the one-root-at-a-time Newton polish, residual and dedupe
 loops at the end, and the one-tuple-at-a-time candidate recovery, which
-use the library's result types and polynomial arithmetic only.
+use the library's result types only. The multiplication matrices under
+test come from the one fill of the pipeline (``kept_matrices``), and
+``expand`` writes them out as a dense stack. ``reflect`` and
+``is_hurwitz`` are the textbook polynomial operations that candidate
+recovery batches.
 
 Polynomials in N variables are plain dicts {multi-index: coefficient}; a
 multi-index is a length-N tuple of exponents.
@@ -30,11 +34,32 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import minimize
 
-from h2reduce.errors import DegenerateLeadingCoefficientError
 from h2reduce.foc import CriticalPoint
-from h2reduce.poly import Polynomial, is_hurwitz, reflect
-from h2reduce.stetter import EigenSolution
+from h2reduce.poly import Polynomial, roots
+from h2reduce.stetter import EigenSolution, combine
 from h2reduce.tolerances import TOL
+
+
+def reflect(p: Polynomial) -> Polynomial:
+    """s -> p(-s): flips the sign of odd-degree coefficients."""
+    out = np.array(p.coeffs)
+    deg = p.degree
+    for k in range(len(out)):
+        if (deg - k) % 2:
+            out[k] = -out[k]
+    return Polynomial(out)
+
+
+def is_hurwitz(p: Polynomial) -> bool:
+    """True iff every root lies strictly left of -TOL.hurwitz.
+
+    Degree-0 polynomials are vacuously Hurwitz.
+    """
+    if not p.is_real:
+        raise ValueError("Hurwitz test requires real polynomial")
+    if p.degree == 0:
+        return True
+    return bool(np.all(roots(p).real < -TOL.hurwitz))
 
 
 def quad_h2_norm(num, den) -> float:
@@ -83,16 +108,18 @@ def residue_distance_sq(num1, den1, num2, den2) -> float:
 def foc_residual(sys, cp) -> float:
     """Relative max-coefficient residual of e*a - b*d - q0*reflect(a)^2 at a
     recovered candidate; it vanishes at every critical point."""
-    e, d = sys.tf.numerator, sys.tf.denominator
-    ra = reflect(cp.a)
-    lhs = (e * cp.a) - (cp.b * d) - (ra * ra).scale(cp.q0)
+    ea = np.convolve(sys.tf.numerator.coeffs, cp.a.coeffs)
+    bd = np.convolve(cp.b.coeffs, sys.tf.denominator.coeffs)
+    ra = reflect(cp.a).coeffs
+    ra2 = np.convolve(ra, ra)
+    lhs = np.polysub(np.polysub(ea, bd), cp.q0 * ra2)
     scale = max(
-        np.max(np.abs((e * cp.a).coeffs)),
-        np.max(np.abs((cp.b * d).coeffs)),
-        np.max(np.abs((ra * ra).coeffs)) * abs(cp.q0),
+        np.max(np.abs(ea)),
+        np.max(np.abs(bd)),
+        np.max(np.abs(ra2)) * abs(cp.q0),
         1e-300,
     )
-    return float(np.max(np.abs(lhs.coeffs)) / scale)
+    return float(np.max(np.abs(lhs)) / scale)
 
 
 def _newton_polish(m: np.ndarray, x: np.ndarray, iters: int = 10) -> np.ndarray:
@@ -237,6 +264,17 @@ def normal_form(f: Dict[MultiIndex, complex], sys, strategy: str = "max_degree")
     return out
 
 
+def kept_matrices(sys):
+    """The ``MultiplicationMatrices`` of a DiagQuadSystem, as the one fill of
+    the pipeline keeps them for the critical-value matrix."""
+    return combine(sys, keep_matrices=True).matrices
+
+
+def expand(mm) -> np.ndarray:
+    """The (N, D, D) stack of all A_{X_i} of ``MultiplicationMatrices``."""
+    return np.stack([mm.matrix(i) for i in range(mm.n_vars)])
+
+
 def reference_multiplication_matrices(sys) -> np.ndarray:
     """The (N, D, D) stack of A_{X_i}, filled one column at a time in index
     order: column beta of A_i is e_{beta | 2^i} when beta lacks bit i, and
@@ -292,7 +330,7 @@ def annihilation_defect(mm) -> float:
     """Largest ||A_i^2 - sum_j m_ij A_j - mu_i I||_F / max(||A_i||_F^2, 1):
     how far the multiplication matrices are from satisfying the generators
     x_i^2 - m_i . x - mu_i of the system they were built for."""
-    sys, mats = mm.system, mm.matrices
+    sys, mats = mm.system, expand(mm)
     eye = np.eye(mm.dim)
     worst = 0.0
     for i in range(mm.n_vars):
@@ -304,13 +342,14 @@ def annihilation_defect(mm) -> float:
 def evaluate_poly_at_matrices(f: Dict[MultiIndex, complex], mm) -> np.ndarray:
     """f(A_{X_1}, ..., A_{X_N}) over a commuting family, by matrix powers."""
     n, dim = mm.n_vars, mm.dim
+    mats = expand(mm)
     out = np.zeros((dim, dim), dtype=complex)
     for alpha, coeff in f.items():
         if len(alpha) != n:
             raise ValueError("variable count mismatch")
         term = np.eye(dim, dtype=complex)
         for i, e in enumerate(alpha):
-            term = term @ np.linalg.matrix_power(mm.matrices[i], e)
+            term = term @ np.linalg.matrix_power(mats[i], e)
         out += coeff * term
     return out
 
@@ -443,11 +482,11 @@ def loop_residual(xi: np.ndarray, sys, m_norm: float) -> float:
 def _loop_solve_b(e, d, a, q0):
     """Least-squares b with b*d = e*a - q0*reflect(a)^2 for one candidate."""
     n = d.degree
-    ra = reflect(a)
+    ra = reflect(a).coeffs
     rhs = np.zeros(2 * n - 1, dtype=complex)
-    ea = (e * a).coeffs
+    ea = np.convolve(e.coeffs, a.coeffs)
     rhs[-len(ea):] += ea
-    ra2 = (ra * ra).coeffs
+    ra2 = np.convolve(ra, ra)
     rhs[-len(ra2):] -= q0 * ra2
     conv = np.zeros((2 * n - 1, n - 1), dtype=complex)
     for j in range(n - 1):
@@ -455,6 +494,10 @@ def _loop_solve_b(e, d, a, q0):
     b, *_ = np.linalg.lstsq(conv, rhs, rcond=None)
     res = np.linalg.norm(conv @ b - rhs) / max(np.linalg.norm(rhs), 1e-300)
     return Polynomial(b), float(res)
+
+
+class _DegenerateQ0(Exception):
+    """The tuple's atilde has a numerically zero leading coefficient."""
 
 
 def _loop_recover_one(sys, xi):
@@ -465,7 +508,7 @@ def _loop_recover_one(sys, xi):
     at = np.linalg.solve(v_minus, xi)
     q0 = at[-1]
     if abs(q0) <= TOL.q0 * np.linalg.norm(at):
-        raise DegenerateLeadingCoefficientError("degenerate leading coefficient")
+        raise _DegenerateQ0("degenerate leading coefficient")
     a_desc = (at / q0)[::-1]
     a_desc[0] = 1.0
     scale = 1.0 + np.max(np.abs(a_desc))
@@ -483,7 +526,7 @@ def _loop_recover_one(sys, xi):
     if real and np.iscomplexobj(b.coeffs):
         im = np.max(np.abs(b.coeffs.imag))
         if im <= TOL.real * (1.0 + np.max(np.abs(b.coeffs))):
-            b = b.real()
+            b = Polynomial(b.coeffs.real)
     return a, b, q0_eff, real, hurwitz, ls_res
 
 
@@ -497,7 +540,7 @@ def loop_recover(sys, xis):
     for xi in np.asarray(xis, dtype=complex):
         try:
             a, b, q0, real, hurwitz, ls_res = _loop_recover_one(sys, xi)
-        except DegenerateLeadingCoefficientError:
+        except _DegenerateQ0:
             degenerate += 1
             continue
         out.append(CriticalPoint(

@@ -14,6 +14,8 @@ from oracles import (
     dense_commutation_defect,
     elimination_solutions_n2,
     elimination_solutions_n3,
+    expand,
+    kept_matrices,
     match_solution_sets,
     multistart_global_minimum,
     normal_form,
@@ -27,7 +29,6 @@ from h2reduce import (
     TransferFunction,
     build_M,
     build_critical_value_matrix,
-    build_multiplication_matrices,
     combine,
     common_eigen_solutions,
     generate_relaxation,
@@ -212,8 +213,8 @@ def test_criterion_5_algebraic_invariants():
     for _ in range(100):
         n = int(rng.integers(1, 7))
         sys = DiagQuadSystem(rng.uniform(-2, 2, size=(n, n)))
-        mm = build_multiplication_matrices(sys)
-        worst_comm = max(worst_comm, dense_commutation_defect(mm.matrices))
+        mm = kept_matrices(sys)
+        worst_comm = max(worst_comm, dense_commutation_defect(expand(mm)))
         worst_ann = max(worst_ann, annihilation_defect(mm))
 
         # normal-form confluence and linearity, on the reference in oracles.py
@@ -279,7 +280,7 @@ def test_criterion_7_critical_value_matrix():
                 for n, a in ((2, 0.6), (3, 0.6), (4, 0.6), (5, 0.6), (5, 0.7))]
     for tf in systems:
         sysv = validate(tf)
-        mm = build_multiplication_matrices(DiagQuadSystem(build_M(sysv)))
+        mm = kept_matrices(DiagQuadSystem(build_M(sysv)))
         rep = solve_reduction(sysv)
         eigs = np.linalg.eigvals(
             build_critical_value_matrix(mm, criterion_weights(sysv)))

@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -176,6 +177,25 @@ class TestMainExitCodes:
         assert err.startswith("error (numerical): ") and "not finite" in err
         assert "  nonfinite_entries: " in err and "  max_abs_m: " in err
         assert "Traceback" not in err
+
+    # _norms squares the ~1e150 entries of the Newton iterates
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_nonfinite_criterion_exits_4(self, tmp_path, capsys):
+        # xi^3 overflows at this scale, and the one admissible candidate's
+        # phi is nan: a value that cannot be ranked, not "no admissible
+        # critical point"
+        path = write_system(tmp_path, "big.txt", ["1e150"], [1, 3, 2])
+        assert main(["--input", path]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error (numerical): ") and "not finite" in err
+        assert "  nonfinite_criteria: 1\n" in err
+        assert "Traceback" not in err
+
+    def test_zero_numerator_exits_3(self, tmp_path, capsys):
+        path = write_system(tmp_path, "zero.txt", [0], [1, 3, 2])
+        assert main(["--input", path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error (validation): ") and "numerator" in err
 
     def test_first_order_input_exits_1(self, capsys):
         assert main(["--relaxation", "N=1", "alpha=0.5"]) == 1
@@ -364,3 +384,41 @@ class TestLibraryImport:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=120)
         assert out.stdout.split()[-2:] == ["True", "0"]
+
+    def test_benchmark_surface(self):
+        # what the benchmark under perfbench/ calls of the package, checked
+        # without importing it: a name lost here breaks every benchmark run
+        from h2reduce import (
+            DiagQuadSystem, Polynomial, TransferFunction, build_M, combine,
+            common_eigen_solutions, h2_distance, solve_reduction)
+        from h2reduce.cli import generate_relaxation as cli_relaxation
+        from h2reduce.errors import (
+            H2ReduceError, InputError, NoAdmissibleSolutionError, ValidationError)
+
+        assert issubclass(InputError, H2ReduceError)
+        assert issubclass(NoAdmissibleSolutionError, H2ReduceError)
+        assert issubclass(ValidationError, H2ReduceError)
+        # the module attributes that its trace spans wrap
+        for module, names in (
+                ("h2reduce.cli", ("main", "validate", "solve_reduction")),
+                ("h2reduce.tf", ("validate",)),
+                ("h2reduce.reduce", ("solve_reduction", "build_M", "DiagQuadSystem",
+                                     "common_eigen_solutions", "build_critical_value_matrix",
+                                     "select_global", "h2_distance"))):
+            mod = importlib.import_module(module)
+            assert all(callable(getattr(mod, name)) for name in names)
+        tol = Tolerances()
+        assert tol.real > 0 and tol.cross_check > 0
+        sysv = validate(cli_relaxation(4, 0.5))
+        rep = solve_reduction(sysv, seed=1, method="cvm")
+        best = rep.global_candidate
+        assert any(cp is best for cp in rep.admissible)
+        phi = best.criterion.real
+        tf = TransferFunction(Polynomial(best.b.coeffs), Polynomial(best.a.coeffs))
+        assert abs(phi - h2_distance(sysv, tf, tol) ** 2) <= tol.cross_check * (1.0 + phi)
+        assert rep.global_error == best.error and rep.system_norm > 0
+        assert rep.relative_error == rep.global_error / rep.system_norm
+        assert rep.diagnostics["degenerate_q0_rejections"] == 0
+        eig = common_eigen_solutions(combine(DiagQuadSystem(build_M(sysv)), seed=1))
+        assert len(eig.rejected) == 0
+        assert sum(s.multiplicity_hint for s in eig.solutions) == 16

@@ -5,8 +5,8 @@ checked against."""
 import numpy as np
 import pytest
 
-from oracles import generator, normal_form
-from h2reduce import BasisSizeError, DiagQuadSystem, build_multiplication_matrices
+from oracles import expand, generator, kept_matrices, normal_form
+from h2reduce import BasisSizeError, DiagQuadSystem
 
 
 def random_sparse_poly(rng, n_vars, n_terms=6, max_exp=3):
@@ -130,16 +130,16 @@ class TestMultiplyByVariable:
         n = 3
         sys = DiagQuadSystem(rng.uniform(-2, 2, size=(n, n)),
                              mu=rng.uniform(-2, 2, size=n))
-        mm = build_multiplication_matrices(sys)
+        mats = expand(kept_matrices(sys))
         f = random_sparse_poly(rng, n)
         nf = normal_form(f, sys)
         for i in range(n):
             shifted = {tuple(e + (k == i) for k, e in enumerate(a)): c
                        for a, c in f.items()}
-            assert np.allclose(mm.matrices[i] @ nf, normal_form(shifted, sys),
+            assert np.allclose(mats[i] @ nf, normal_form(shifted, sys),
                                atol=1e-12)
 
     def test_basis_vector_shift(self):
-        mm = build_multiplication_matrices(DiagQuadSystem(np.zeros((2, 2))))
-        out = mm.matrices[1][:, 0]
+        mm = kept_matrices(DiagQuadSystem(np.zeros((2, 2))))
+        out = expand(mm)[1][:, 0]
         assert out[2] == 1.0 and np.sum(np.abs(out)) == 1.0

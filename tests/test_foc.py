@@ -5,7 +5,6 @@ from conftest import random_real_pole_system, random_stable_system
 from oracles import elimination_solutions_n2, foc_residual, loop_recover
 from h2reduce import (
     CriticalPoint,
-    DegenerateLeadingCoefficientError,
     DiagQuadSystem,
     IllConditionedError,
     Polynomial,
@@ -15,7 +14,6 @@ from h2reduce import (
     common_eigen_solutions,
     eval_poly,
     generate_relaxation,
-    recover_candidate,
     recover_candidates,
     solve_reduction,
     validate,
@@ -80,7 +78,7 @@ class TestRecoverCandidate:
         a = Polynomial([1.0, 1.3])       # monic, Hurwitz
         q0 = 0.8
         xi = np.array([q0 * eval_poly(a, -p) for p in sys.poles])
-        cp = recover_candidate(sys, xi)
+        [cp], _ = recover_candidates(sys, xi[None])
         assert np.allclose(cp.a.coeffs, a.coeffs, atol=1e-8)
         assert cp.q0 == pytest.approx(q0, abs=1e-8)
         assert cp.is_real and cp.is_hurwitz
@@ -88,8 +86,8 @@ class TestRecoverCandidate:
     def test_scaling_absorbed_by_q0(self):
         sys = two_pole_system()
         xi = np.array([0.3, -1.1])
-        c1 = recover_candidate(sys, xi)
-        c2 = recover_candidate(sys, 2.0 * xi)
+        [c1], _ = recover_candidates(sys, xi[None])
+        [c2], _ = recover_candidates(sys, 2.0 * xi[None])
         assert np.allclose(c1.a.coeffs, c2.a.coeffs, atol=1e-10)
         assert c2.q0 == pytest.approx(2.0 * c1.q0)
 
@@ -98,8 +96,7 @@ class TestRecoverCandidate:
         # xi built from an atilde with vanishing leading coefficient
         v_minus = np.vander(-sys.poles, sys.n, increasing=True)
         xi = v_minus @ np.array([1.0, 0.0])
-        with pytest.raises(DegenerateLeadingCoefficientError):
-            recover_candidate(sys, xi)
+        assert recover_candidates(sys, xi[None]) == ([], 1)
 
     def test_denominator_exactly_monic(self):
         # dividing by this q0 leaves 1 - eps as the leading coefficient
@@ -107,13 +104,14 @@ class TestRecoverCandidate:
         a = Polynomial([1.0, 1.3])
         q0 = 0.18212704632184262 - 7.514334470008722e-09j
         xi = np.array([q0 * eval_poly(a, -p) for p in sys.poles])
-        assert recover_candidate(sys, xi).a.coeffs[0] == 1.0
+        [cp], _ = recover_candidates(sys, xi[None])
+        assert cp.a.coeffs[0] == 1.0
 
     def test_non_hurwitz_flagged(self):
         sys = two_pole_system()
         a = Polynomial([1.0, -0.5])  # root at +0.5
         xi = np.array([eval_poly(a, -p) for p in sys.poles])
-        cp = recover_candidate(sys, xi)
+        [cp], _ = recover_candidates(sys, xi[None])
         assert cp.is_real and not cp.is_hurwitz
 
 
@@ -125,7 +123,7 @@ class TestFocResidual:
         for xi in elimination_solutions_n2(m):
             if np.max(np.abs(xi)) < 1e-8:
                 continue
-            cp = recover_candidate(sys, xi)
+            [cp], _ = recover_candidates(sys, xi[None])
             assert foc_residual(sys, cp) <= 1e-10
             assert cp.ls_residual <= 1e-10
 

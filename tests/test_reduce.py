@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_real_pole_system, random_stable_system
+from oracles import kept_matrices
 from h2reduce import (
     ConjugationDefectError,
     CriticalPoint,
@@ -17,7 +18,6 @@ from h2reduce import (
     TransferFunction,
     build_M,
     build_critical_value_matrix,
-    build_multiplication_matrices,
     common_eigen_solutions,
     generate_relaxation,
     h2_distance,
@@ -248,7 +248,7 @@ class TestSolveReduction:
         assert rep.critical_values_sorted == sorted(rep.critical_values_sorted)
         assert rep.diagnostics["seed"] == 5
         assert len(rep.candidates) + rep.diagnostics["degenerate_q0_rejections"] == 2**3 - 1
-        assert rep.approximant.denominator.degree == 2
+        assert rep.global_candidate.a.degree == 2
 
     def test_first_order_input_rejected_before_build(self, monkeypatch):
         def no_build(*args, **kwargs):
@@ -278,7 +278,7 @@ class TestSolveReduction:
         d = exc.value.diagnostics
         assert d["seed"] == 2 and d["method"] == "cvm"
         phi = np.array([cp.criterion for cp in solve_reduction(sys, seed=2).candidates])
-        mm = build_multiplication_matrices(DiagQuadSystem(build_M(sys)))
+        mm = kept_matrices(DiagQuadSystem(build_M(sys)))
         vals = np.linalg.eigvals(build_critical_value_matrix(mm, criterion_weights(sys)))
         gap = np.abs(vals[None, :] - phi[:, None]).min(axis=1) / (1.0 + np.abs(phi))
         bad = np.flatnonzero(gap > TOL.cvm_gap)

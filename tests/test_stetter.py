@@ -10,7 +10,9 @@ from oracles import (
     dense_commutation_defect,
     elimination_solutions_n2,
     evaluate_poly_at_matrices,
+    expand,
     generator,
+    kept_matrices,
     loop_dedupe,
     loop_polish,
     loop_residual,
@@ -26,7 +28,6 @@ from h2reduce import (
     TransferFunction,
     build_M,
     build_critical_value_matrix,
-    build_multiplication_matrices,
     combine,
     common_eigen_solutions,
     generate_relaxation,
@@ -57,20 +58,19 @@ class TestBuildMultiplicationMatrices:
     def test_n1(self):
         # single variable: quotient basis {1, x}, x*1 = x, x*x = m x + mu
         sys = DiagQuadSystem([[1.5]], mu=[2.0])
-        mm = build_multiplication_matrices(sys)
-        a = mm.matrices[0]
+        a = expand(kept_matrices(sys))[0]
         assert np.allclose(a, [[0.0, 2.0], [1.0, 1.5]])
 
     def test_columns_are_variable_products(self):
         # column beta of A_i is the normal form of x_i * (basis monomial beta)
         rng = np.random.default_rng(6)
         sys = random_system(rng, 3, with_mu=True)
-        mm = build_multiplication_matrices(sys)
+        mats = expand(kept_matrices(sys))
         for i in range(3):
             for beta in range(8):
                 product = tuple(((beta >> k) & 1) + (k == i) for k in range(3))
                 ref = normal_form({product: 1.0}, sys)
-                assert np.allclose(mm.matrices[i][:, beta], ref, atol=1e-12)
+                assert np.allclose(mats[i][:, beta], ref, atol=1e-12)
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_fill_matches_column_sweep(self, n):
@@ -87,7 +87,7 @@ class TestBuildMultiplicationMatrices:
             for real in (False, True):
                 sys = (DiagQuadSystem(m.real, mu=None if mu is None else mu.real)
                        if real else DiagQuadSystem(m, mu=mu))
-                got = build_multiplication_matrices(sys).matrices
+                got = expand(kept_matrices(sys))
                 ref = reference_multiplication_matrices(sys)
                 # at N = 1 the draw zeroes M's one entry, so mu = 0 is real too
                 assert got.dtype == (np.float64 if real or n == 1 and mu is None
@@ -113,14 +113,15 @@ class TestBuildMultiplicationMatrices:
 
     @pytest.mark.parametrize("real", [False, True])
     def test_build_memory_bound(self, real):
-        # only the blocks are stored, and the fill's temporaries are bounded
-        # by its row blocks: the dense (N, D, D) stack alone would exceed
-        # the bound at N = 9, as would a whole degree level at once
-        mm, peak = self.traced_peak(build_multiplication_matrices, real)
+        # only the blocks and T^T are stored, and the fill's temporaries are
+        # bounded by its row blocks: the dense (N, D, D) stack alone would
+        # exceed the bound at N = 9, as would a whole degree level at once
+        comb, peak = self.traced_peak(lambda sys: combine(sys, keep_matrices=True), real)
+        mm, held = comb.matrices, comb.matrices.rows.nbytes + comb.transpose.nbytes
         assert mm.rows.dtype == (np.float64 if real else np.complex128)
         assert mm.rows.shape == (9 * 256, 512)
-        assert peak <= mm.rows.nbytes + 4 * 2**20
-        assert 9 * 512 * 512 * mm.rows.itemsize > mm.rows.nbytes + 4 * 2**20
+        assert peak <= held + 4 * 2**20
+        assert 9 * 512 * 512 * mm.rows.itemsize > held + 4 * 2**20
 
     @pytest.mark.parametrize("real", [False, True])
     def test_combination_memory_bound(self, real):
@@ -130,7 +131,7 @@ class TestBuildMultiplicationMatrices:
         comb, peak = self.traced_peak(combine, real)
         assert comb.matrices is None
         assert comb.transpose.dtype == (np.float64 if real else np.complex128)
-        assert peak < build_multiplication_matrices(comb.system).rows.nbytes
+        assert peak < kept_matrices(comb.system).rows.nbytes
 
     @pytest.mark.parametrize("family", ["real", "complex", "pairs"])
     @pytest.mark.parametrize("n", range(2, 10))
@@ -147,12 +148,13 @@ class TestBuildMultiplicationMatrices:
             if family == "complex":
                 m = m + 1j * rng.uniform(-2, 2, size=(n, n))
             sys = DiagQuadSystem(m, mu=rng.uniform(-2, 2, n))
-        mm = build_multiplication_matrices(sys)
+        mm = kept_matrices(sys)
+        mats = expand(mm)
         for seed in (0, 1):
             c = _combination_weights(sys.conj, seed)
             if family != "pairs":
                 c = c.real
-            want = np.tensordot(c, mm.matrices, axes=1).T
+            want = np.tensordot(c, mats, axes=1).T
             oracle = combination_transpose(mm, c)
             kept = combine(sys, seed, keep_matrices=True)
             assert kept.matrices.rows.tobytes() == mm.rows.tobytes()
@@ -165,21 +167,21 @@ class TestBuildMultiplicationMatrices:
         rng = np.random.default_rng(0)
         for _ in range(10):
             n = int(rng.integers(2, 6))
-            mm = build_multiplication_matrices(random_system(rng, n, with_mu=True))
-            assert dense_commutation_defect(mm.matrices) <= 1e-10
+            mm = kept_matrices(random_system(rng, n, with_mu=True))
+            assert dense_commutation_defect(expand(mm)) <= 1e-10
 
     def test_generator_annihilation(self):
         rng = np.random.default_rng(14)
         for _ in range(10):
             n = int(rng.integers(2, 6))
             sys = random_system(rng, n, with_mu=True)
-            mm = build_multiplication_matrices(sys)
+            mm = kept_matrices(sys)
             assert annihilation_defect(mm) <= 1e-10
             # same check through the generic evaluator
             for i in range(n):
                 g = evaluate_poly_at_matrices(generator(sys, i), mm)
                 assert np.linalg.norm(g) <= 1e-9 * max(
-                    1.0, np.linalg.norm(mm.matrices[i]) ** 2)
+                    1.0, np.linalg.norm(mm.matrix(i)) ** 2)
 
 
 class TestCommonEigenSolutions:
@@ -248,7 +250,7 @@ def pole_system(sys):
 
 def pole_matrices(sys):
     """Multiplication matrices of a validated system, as in ``pole_system``."""
-    return build_multiplication_matrices(pole_system(sys))
+    return kept_matrices(pole_system(sys))
 
 
 @pytest.fixture(scope="module")
@@ -285,7 +287,7 @@ class TestRealForm:
         mm = request.getfixturevalue(matrices)
         partner = mm.system.basis_conj()
         assert np.any(partner != np.arange(mm.dim))
-        t = np.tensordot(_combination_weights(mm.system.conj, 0), mm.matrices, axes=1)
+        t = np.tensordot(_combination_weights(mm.system.conj, 0), expand(mm), axes=1)
         r, defect = _real_form(t.T.copy(), partner)
         assert r.dtype == np.float64 and defect <= 1e-12
         u = self.dense_u(partner)
@@ -525,7 +527,7 @@ class TestEvaluatePolyAtMatrices:
         rng = np.random.default_rng(12)
         m = rng.uniform(-2, 2, size=(2, 2))
         sys = DiagQuadSystem(m)
-        mm = build_multiplication_matrices(sys)
+        mm = kept_matrices(sys)
         fa = evaluate_poly_at_matrices({(2, 1): 1.0, (1, 0): -0.5, (0, 0): 0.3}, mm)
         eigs = np.linalg.eigvals(fa)
         for x in elimination_solutions_n2(m):
@@ -533,7 +535,7 @@ class TestEvaluatePolyAtMatrices:
             assert np.min(np.abs(eigs - fx)) <= 1e-6 * (1 + abs(fx))
 
     def test_variable_count_mismatch(self):
-        mm = build_multiplication_matrices(DiagQuadSystem(np.eye(2)))
+        mm = kept_matrices(DiagQuadSystem(np.eye(2)))
         with pytest.raises(ValueError):
             evaluate_poly_at_matrices({(1,): 1.0}, mm)
 
@@ -542,7 +544,7 @@ class TestCriticalValueMatrix:
     def test_eigenvalues_are_cubic_values(self):
         rng = np.random.default_rng(25)
         m = rng.uniform(-2, 2, size=(2, 2))
-        mm = build_multiplication_matrices(DiagQuadSystem(m))
+        mm = kept_matrices(DiagQuadSystem(m))
         w = rng.uniform(-1, 1, size=2)
         eigs = np.linalg.eigvals(build_critical_value_matrix(mm, w))
         for x in elimination_solutions_n2(m):
