@@ -23,7 +23,7 @@ from .errors import (
     UnstablePoleError,
     ValidationError,
 )
-from .foc import CriticalPoint, build_M, recover_candidates
+from .foc import CandidateTable, CriticalPoint, build_M, recover_candidates
 from .poly import Polynomial, derivative, eval_poly, roots
 from .reduce import ReductionReport, select_global, solve_reduction
 from .stetter import (
@@ -52,6 +52,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisSizeError",
+    "CandidateTable",
     "Combination",
     "ConjugationDefectError",
     "CriticalPoint",

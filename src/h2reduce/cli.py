@@ -23,6 +23,7 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
+from .foc import CandidateTable
 from .poly import Polynomial
 from .reduce import ReductionReport, solve_reduction
 from .stetter import N_CAP
@@ -113,6 +114,15 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _candidate_rows(table: CandidateTable):
+    """|xi|_inf, phi, real, hurwitz, ls_residual and status of each
+    candidate, read off the table's arrays: the reports build no
+    ``CriticalPoint`` for a candidate they only list."""
+    return zip(np.abs(table.xi).max(axis=1).tolist(), table.phi.tolist(),
+               table.real.tolist(), table.hurwitz.tolist(), table.ls_residual.tolist(),
+               [rejection or "admissible" for rejection in table.rejections])
+
+
 def _text_report(report: ReductionReport) -> str:
     lines = []
     lines.append(f"original H2 norm      : {report.system_norm:.6f}")
@@ -121,19 +131,12 @@ def _text_report(report: ReductionReport) -> str:
     lines.append("")
     lines.append("candidate table (phi = criterion value):")
     lines.append("  idx  |xi|_inf      Re(phi)        Im(phi)      real hurw  ls_res    status")
-    for k, cp in enumerate(report.candidates):
+    for k, (size, phi, real, hurwitz, ls_residual, status) in enumerate(
+            _candidate_rows(report.candidates)):
         lines.append(
             "  %3d  %-11.4e %- 13.6e %- 12.2e %-4s %-4s %-9.2e %s"
-            % (
-                k,
-                float(np.linalg.norm(cp.xi, np.inf)),
-                cp.criterion.real,
-                cp.criterion.imag,
-                "y" if cp.is_real else "n",
-                "y" if cp.is_hurwitz else "n",
-                cp.ls_residual,
-                cp.rejection or "admissible",
-            )
+            % (k, size, phi.real, phi.imag, "y" if real else "n",
+               "y" if hurwitz else "n", ls_residual, status)
         )
     lines.append("")
     for k, cp in enumerate(report.admissible):
@@ -167,12 +170,13 @@ def _structured_report(report: ReductionReport) -> str:
     lines.append(
         "critical_values = " + " ".join(_fmt(v) for v in report.critical_values_sorted)
     )
-    for k, cp in enumerate(report.candidates):
+    for k, (_, phi, real, hurwitz, ls_residual, status) in enumerate(
+            _candidate_rows(report.candidates)):
         lines.append(
-            f"candidate_{k} = phi_re {_fmt(cp.criterion.real)} "
-            f"phi_im {_fmt(cp.criterion.imag)} real {int(cp.is_real)} "
-            f"hurwitz {int(cp.is_hurwitz)} ls_residual {_fmt(cp.ls_residual)} "
-            f"status {cp.rejection or 'admissible'}"
+            f"candidate_{k} = phi_re {_fmt(phi.real)} "
+            f"phi_im {_fmt(phi.imag)} real {int(real)} "
+            f"hurwitz {int(hurwitz)} ls_residual {_fmt(ls_residual)} "
+            f"status {status}"
         )
     lines.append(
         "global_numerator = " + " ".join(_fmt(c) for c in np.real(best.b.coeffs))

@@ -14,7 +14,9 @@ every numerator, and one row sum gives every criterion value phi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -24,6 +26,18 @@ from .errors import IllConditionedError
 from .poly import Polynomial
 from .tf import ValidatedSystem
 from .tolerances import TOL
+
+
+def _rejection(is_real: bool, is_hurwitz: bool, ls_residual: float) -> Optional[str]:
+    """Why a candidate is not admissible: "complex", "non-hurwitz" or
+    "high-residual"; None for a real, stable, exactly fitted candidate."""
+    if not is_real:
+        return "complex"
+    if not is_hurwitz:
+        return "non-hurwitz"
+    if ls_residual > TOL.ls_reject:
+        return "high-residual"
+    return None
 
 
 @dataclass(frozen=True)
@@ -41,15 +55,7 @@ class CriticalPoint:
 
     @property
     def rejection(self) -> Optional[str]:
-        """Why the candidate is not admissible: "complex", "non-hurwitz" or
-        "high-residual"; None for a real, stable, exactly fitted candidate."""
-        if not self.is_real:
-            return "complex"
-        if not self.is_hurwitz:
-            return "non-hurwitz"
-        if self.ls_residual > TOL.ls_reject:
-            return "high-residual"
-        return None
+        return _rejection(self.is_real, self.is_hurwitz, self.ls_residual)
 
     @property
     def is_admissible(self) -> bool:
@@ -59,6 +65,57 @@ class CriticalPoint:
     def error(self) -> float:
         """sqrt of the criterion; meaningful for real admissible candidates."""
         return float(np.sqrt(max(self.criterion.real, 0.0)))
+
+
+@dataclass(frozen=True, eq=False)
+class CandidateTable(Sequence):
+    """The candidates of one recovery as arrays, one row per candidate, and
+    as a read-only sequence of ``CriticalPoint``: item i is built from row i
+    on its first read and kept, so a caller that reads only the arrays
+    builds no object. A real row (``real``) holds its a and q0 with zero
+    imaginary parts, and its item takes their real parts, as it takes the
+    real part of b where ``b_real`` is set."""
+
+    xi: np.ndarray           # (k, N) the tuples
+    a: np.ndarray            # (k, N) monic denominators, descending
+    b: np.ndarray            # (k, N - 1) numerators, descending
+    q0: np.ndarray           # (k,)
+    phi: np.ndarray          # (k,) complex criterion values
+    real: np.ndarray         # (k,) bool
+    hurwitz: np.ndarray      # (k,) bool
+    b_real: np.ndarray       # (k,) bool
+    ls_residual: np.ndarray  # (k,)
+    _items: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_items", [None] * len(self.xi))
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        cp = self._items[i]
+        if cp is None:
+            r = self.real[i]
+            cp = self._items[i] = CriticalPoint(
+                xi=self.xi[i],
+                a=Polynomial(self.a[i].real if r else self.a[i]),
+                b=Polynomial(self.b[i].real if self.b_real[i] else self.b[i]),
+                q0=self.q0[i].real if r else self.q0[i],
+                criterion=complex(self.phi[i]),
+                is_real=bool(r),
+                is_hurwitz=bool(self.hurwitz[i]),
+                ls_residual=float(self.ls_residual[i]),
+            )
+        return cp
+
+    @cached_property
+    def rejections(self) -> List[Optional[str]]:
+        """``CriticalPoint.rejection`` of every row."""
+        return [_rejection(*row) for row in zip(
+            self.real.tolist(), self.hurwitz.tolist(), self.ls_residual.tolist())]
 
 
 def _vander(nodes: np.ndarray) -> np.ndarray:
@@ -118,7 +175,7 @@ def recover_candidates(
     sys: ValidatedSystem,
     xis: np.ndarray,
     criterion: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> Tuple[List[CriticalPoint], int]:
+) -> Tuple[CandidateTable, int]:
     """Map each row xi of the (k, N) array xis back to a candidate (a, b, q0).
 
     Solves V(-d) atilde = xi for the ascending coefficients of atilde,
@@ -130,8 +187,8 @@ def recover_candidates(
     candidate is phi(xi); ``criterion``, if given, maps the array of phi
     values of the candidates to the values stored instead.
 
-    Returns the candidates in row order and the number of rows dropped for
-    a degenerate q0.
+    Returns the table of the candidates, in row order, and the number of
+    rows dropped for a degenerate q0.
     """
     n = sys.n
     xis = np.asarray(xis, dtype=complex)
@@ -173,20 +230,7 @@ def recover_candidates(
 
     phi = critical_values(sys, xis)
     if criterion is not None:
-        phi = criterion(phi)
-    candidates = [
-        CriticalPoint(
-            xi=x,
-            a=Polynomial(ai.real if r else ai),
-            b=Polynomial(bi.real if br else bi),
-            q0=qi.real if r else qi,
-            criterion=complex(p),
-            is_real=bool(r),
-            is_hurwitz=bool(h),
-            ls_residual=float(res),
-        )
-        for x, ai, bi, qi, p, r, h, br, res
-        in zip(xis, a, b.T, q0, phi, real, hurwitz, b_real, ls_res)
-    ]
-    return candidates, int(np.count_nonzero(~keep))
-
+        phi = np.asarray(criterion(phi), dtype=complex)
+    table = CandidateTable(xi=xis, a=a, b=b.T, q0=q0, phi=phi, real=real,
+                           hurwitz=hurwitz, b_real=b_real, ls_residual=ls_res)
+    return table, int(np.count_nonzero(~keep))

@@ -25,7 +25,7 @@ from .errors import (
     NoAdmissibleSolutionError,
     NumericalError,
 )
-from .foc import CriticalPoint, build_M, criterion_weights, recover_candidates
+from .foc import CandidateTable, CriticalPoint, build_M, criterion_weights, recover_candidates
 from .stetter import (
     DiagQuadSystem,
     build_critical_value_matrix,
@@ -42,7 +42,7 @@ _MATCH_BLOCK = 1 << 15
 @dataclass(frozen=True)
 class ReductionReport:
     system_norm: float
-    candidates: List[CriticalPoint]
+    candidates: CandidateTable
     admissible: List[CriticalPoint]
     global_candidate: Optional[CriticalPoint]
     global_error: float
@@ -58,12 +58,13 @@ def _is_real_positive(v: complex) -> bool:
     return abs(v.imag) <= TOL.value_real * (1.0 + abs(v)) and v.real > 0
 
 
-def _critical_levels(candidates: Sequence[CriticalPoint]) -> List[float]:
-    """Distinct real positive criterion values, in increasing order."""
+def _critical_levels(phi: np.ndarray) -> List[float]:
+    """Distinct real positive values among the criterion values phi, in
+    increasing order."""
     levels: List[float] = []
-    for cp in candidates:
-        if _is_real_positive(cp.criterion):
-            m = cp.criterion.real
+    for v in phi.tolist():
+        if _is_real_positive(v):
+            m = v.real
             if not any(abs(m - u) <= TOL.value_cluster * max(m, u) for u in levels):
                 levels.append(m)
     levels.sort()
@@ -150,17 +151,17 @@ def solve_reduction(
 
     eig = common_eigen_solutions(comb)
     diagnostics["conjugation_defect"] = eig.conjugation_defect
-    n_vars, dim = comb.system.n_vars, comb.system.dim
+    dim = comb.system.dim
     # the root ledger: the optimum is certified only if all 2^N roots are
     # accounted for as distinct, accepted tuples, and mu = 0 makes xi = 0 a
     # simple root, so exactly one of them may lie at zero; a second tuple
     # there is a copy of it standing in for a root never found
-    xis = np.array([s.xi for s in eig.solutions]).reshape(-1, n_vars)
+    xis = eig.xi
     sizes = np.abs(xis).max(axis=1)
     at_zero = sizes <= TOL.zero_solution * (1.0 + sizes.max(initial=0.0))
     if len(xis) != dim or np.count_nonzero(at_zero) != 1:
-        ledger = {"found": len(xis), "rejected": len(eig.rejected),
-                  "merged": sum(s.multiplicity_hint - 1 for s in eig.solutions),
+        ledger = {"found": len(xis), "rejected": len(eig.rejected_xi),
+                  "merged": int(eig.multiplicity_hint.sum()) - len(xis),
                   "at_zero": int(np.count_nonzero(at_zero))}
         raise DefectiveEigenstructureError(
             f"{ledger['found']} of {dim} roots found "
@@ -173,8 +174,15 @@ def solve_reduction(
 
     match = None
     if method == "cvm":
-        vals = np.linalg.eigvals(
-            build_critical_value_matrix(comb.matrices, criterion_weights(sys)))
+        a_f = build_critical_value_matrix(comb.matrices, criterion_weights(sys))
+        bad = int(np.count_nonzero(~np.isfinite(a_f)))
+        if bad:
+            raise NumericalError(
+                f"{bad} entries of the critical-value matrix are not finite: "
+                "the input scale overflows it (rescale the input)",
+                diagnostics={**diagnostics, "nonfinite_entries": bad},
+            )
+        vals = np.linalg.eigvals(a_f)
         match = partial(_match_critical_values, vals, diagnostics=diagnostics)
         t = _lap(stage_s, "cvm", t)
     candidates, degenerate_q0 = recover_candidates(sys, xis[~at_zero], criterion=match)
@@ -183,10 +191,13 @@ def solve_reduction(
         diagnostics["cvm_eigenvalues"] = vals
     t = _lap(stage_s, "recover", t)
 
-    admissible = [cp for cp in candidates if cp.is_admissible]
+    # objects only for the admissible candidates; the rest stay rows of the
+    # table until a caller reads them
+    rows = [i for i, rejection in enumerate(candidates.rejections) if rejection is None]
+    admissible = [candidates[i] for i in rows]
     # a phi that is not finite (xi^3 overflowed) cannot be ranked, and
     # skipping it could hide the optimum
-    nonfinite = sum(not np.isfinite(cp.criterion) for cp in admissible)
+    nonfinite = int(np.count_nonzero(~np.isfinite(candidates.phi[rows])))
     if nonfinite:
         raise NumericalError(
             f"{nonfinite} admissible candidates have a criterion value that is "
@@ -195,7 +206,7 @@ def solve_reduction(
         )
     norm = h2_norm(sys)
 
-    best = select_global(candidates)
+    best = select_global(admissible)
     cross = {}
     for idx, cp in enumerate(admissible):
         approx = TransferFunction(cp.b, cp.a)
@@ -213,7 +224,7 @@ def solve_reduction(
             "complex, non-Hurwitz, or rejected",
             diagnostics={**diagnostics,
                          "n_candidates": len(candidates),
-                         "rejections": [cp.rejection for cp in candidates]},
+                         "rejections": candidates.rejections},
         )
     return ReductionReport(
         system_norm=norm,
@@ -221,6 +232,6 @@ def solve_reduction(
         admissible=admissible,
         global_candidate=best,
         global_error=best.error,
-        critical_values_sorted=_critical_levels(candidates),
+        critical_values_sorted=_critical_levels(candidates.phi),
         diagnostics=diagnostics,
     )

@@ -193,9 +193,28 @@ class EigenSolution:
 
 @dataclass(frozen=True)
 class EigenSolutionSet:
-    solutions: List[EigenSolution]
-    rejected: List[EigenSolution]
+    """The roots of one read-off as arrays, one row per eigenvector kept, in
+    the order of the eigenvectors: the accepted roots, each the first of
+    the tuples merged into it, and the rejected tuples.
+    ``solutions`` and ``rejected`` give the same rows as ``EigenSolution``
+    objects, built on each read."""
+
+    xi: np.ndarray                # (k, N) accepted roots
+    residual: np.ndarray          # (k,) normwise residuals
+    multiplicity_hint: np.ndarray  # (k,) tuples merged into each root
+    rejected_xi: np.ndarray       # (r, N) rejected tuples, multiplicity 1 each
+    rejected_residual: np.ndarray  # (r,) their residuals; inf if not finite
     conjugation_defect: float     # imaginary part dropped by ``_real_form``
+
+    @property
+    def solutions(self) -> List[EigenSolution]:
+        return [EigenSolution(x, r, c) for x, r, c in zip(
+            self.xi, self.residual.tolist(), self.multiplicity_hint.tolist())]
+
+    @property
+    def rejected(self) -> List[EigenSolution]:
+        return [EigenSolution(x, r, 1)
+                for x, r in zip(self.rejected_xi, self.rejected_residual.tolist())]
 
 
 class _Level(NamedTuple):
@@ -409,10 +428,14 @@ def combine(sys: DiagQuadSystem, seed: int = 0, keep_matrices: bool = False) -> 
                        matrices=None if rows is None else MultiplicationMatrices(sys, rows))
 
 
-def _resid(x: np.ndarray, sys: DiagQuadSystem) -> np.ndarray:
-    """F(x) = x*x - M x - mu for each row x of a (k, N) array. The stacked
-    matmul computes M x row by row with the same BLAS call as ``M @ x``."""
-    return x * x - np.matmul(sys.m, x[:, :, None])[:, :, 0] - sys.mu
+def _resid(x: np.ndarray, m: np.ndarray, mu: Optional[np.ndarray]) -> np.ndarray:
+    """F(x) = x*x - M x - mu for each row x of a (k, N) array; mu None stands
+    for +0, whose subtraction changes no bit. The stacked matmul computes
+    M x row by row with the same BLAS call as ``M @ x``."""
+    f = x * x - np.matmul(m, x[:, :, None])[:, :, 0]
+    if mu is not None:
+        f -= mu
+    return f
 
 
 def _norms(z: np.ndarray) -> np.ndarray:
@@ -426,13 +449,14 @@ def _norms(z: np.ndarray) -> np.ndarray:
 
 def _newton_steps(jac: np.ndarray, f: np.ndarray):
     """Solve J_k s_k = f_k for a stack of Jacobians, one LAPACK call per
-    matrix. Returns the steps and a mask that is False where J_k is exactly
-    singular. ``np.linalg.solve`` raises for the whole stack when one member
-    is singular, so that stack is solved again member by member."""
-    ok = np.ones(len(f), dtype=bool)
+    matrix. Returns the steps and, when some J_k is exactly singular, a mask
+    that is False for those (else None). ``np.linalg.solve`` raises for the
+    whole stack when one member is singular, so that stack is solved again
+    member by member."""
     try:
-        return np.linalg.solve(jac, f[:, :, None])[:, :, 0], ok
+        return np.linalg.solve(jac, f[:, :, None])[:, :, 0], None
     except np.linalg.LinAlgError:
+        ok = np.ones(len(f), dtype=bool)
         step = np.zeros_like(f)
         for k in range(len(f)):
             try:
@@ -460,11 +484,13 @@ def _polish(starts: np.ndarray, sys: DiagQuadSystem):
     """
     n, k = starts.shape
     diag = np.arange(n)
-    best_f = _resid(starts.T, sys)
+    m = sys.m
+    mu = None if _is_plus_zero(sys.mu) else sys.mu
+    best_f = _resid(starts.T, m, mu)
     best_r = _norms(best_f)
     x = starts.T.copy()
     best = x.copy()
-    f = _resid(x, sys)
+    f = _resid(x, m, mu)
     live = np.arange(k)    # roots still iterating; x and f hold their rows
     jac = np.empty((k, n, n), dtype=complex)
     for _ in range(12):
@@ -474,24 +500,32 @@ def _polish(starts: np.ndarray, sys: DiagQuadSystem):
         # zeros, diagonal, then -M: starting from -M would flip signed zeros
         j.fill(0.0)
         j[:, diag, diag] = 2.0 * x
-        j -= sys.m
+        j -= m
         step, ok = _newton_steps(j, f)
-        if not ok.all():
+        if ok is not None:
             live, x, step = live[ok], x[ok], step[ok]
         x = x - step
-        f = _resid(x, sys)
-        r = _norms(f)
+        f = _resid(x, m, mu)
+        # the norms of F and of x, row by row, in one call
+        norms = _norms(np.concatenate((f, x)))
+        r, x_norm = norms[:len(f)], norms[len(f):]
         better = r < best_r[live]
         won = live[better]
         best[won], best_f[won], best_r[won] = x[better], f[better], r[better]
         # the one-root loop's scalar ** 2 calls pow, which can differ from an
         # array square in the last bit
-        x_sq = np.array([v ** 2 for v in _norms(x)])
+        x_sq = np.array([v ** 2 for v in x_norm])
         # an iterate that is no longer finite stays so, and its residual
         # (inf or nan) never improves on the best
         go = ~(r < TOL.polish_stop * (1.0 + x_sq)) & np.isfinite(x).all(axis=1)
-        live, x, f = live[go], x[go], f[go]
+        if not go.all():
+            live, x, f = live[go], x[go], f[go]
     return best, best_f
+
+
+def _is_plus_zero(a: np.ndarray) -> bool:
+    """Whether every entry of a complex array is +0 (not -0)."""
+    return not (a.any() or np.signbit(a.real).any() or np.signbit(a.imag).any())
 
 
 def _residual(xis: np.ndarray, f: np.ndarray, sys: DiagQuadSystem,
@@ -510,22 +544,20 @@ def _residual(xis: np.ndarray, f: np.ndarray, sys: DiagQuadSystem,
 _PAIR_BLOCK = 1 << 15
 
 
-def _dedupe(solutions):
-    """Greedy clustering in input order.
+def _dedupe(x: np.ndarray) -> np.ndarray:
+    """Greedy clustering of the rows of a (k, N) array, in row order.
 
-    Each tuple joins the first earlier representative u with
+    Each row joins the first earlier representative u with
     ||s - u||_inf <= TOL.merge * max(||s||_inf, ||u||_inf, 1e-300), or becomes
-    a representative itself; multiplicity_hint counts the members.
+    a representative itself. Returns, for each row, the number of rows in
+    its cluster if it is a representative, else 0.
 
     Since | ||s|| - ||u|| | <= ||s - u||, only pairs whose norms lie within
     4 TOL.merge max(||s||, 1e-300) of each other can merge; the factor 4 covers
     the rounding of the computed norms. One sort of the norms gives each
-    tuple that window, the candidate pairs in it are tested as arrays, and
+    row that window, the candidate pairs in it are tested as arrays, and
     the greedy rule then runs over the pairs that are close.
     """
-    if not solutions:
-        return []
-    x = np.array([s.xi for s in solutions])
     k = len(x)
     norms = np.abs(x).max(axis=1)
     order = np.argsort(norms)
@@ -534,9 +566,8 @@ def _dedupe(solutions):
     lo = np.searchsorted(sorted_norms, norms - reach, side="left")
     width = np.searchsorted(sorted_norms, norms + reach, side="right") - lo
     ends = np.cumsum(width)
-    first = ends - width    # offset of each tuple's candidates among all
+    first = ends - width    # offset of each row's candidates among all
     counts = np.ones(k, dtype=int)
-    is_rep = np.ones(k, dtype=bool)
     start = 0
     while start < k:
         stop = max(start + 1, int(np.searchsorted(
@@ -548,17 +579,14 @@ def _dedupe(solutions):
         gap = np.abs(x[s] - x[u]).max(axis=1)
         close = gap <= TOL.merge * np.maximum(np.maximum(norms[u], norms[s]), 1e-300)
         s, u = s[close], u[close]
-        # each tuple's close pairs in order of their earlier member; those
+        # each row's close pairs in order of their earlier member; those
         # before it are settled already
         for p in np.lexsort((u, s)):
-            if is_rep[s[p]] and is_rep[u[p]]:
+            if counts[s[p]] and counts[u[p]]:
                 counts[u[p]] += 1
-                is_rep[s[p]] = False
+                counts[s[p]] = 0
         start = stop
-    return [
-        EigenSolution(sol.xi, sol.residual, multiplicity_hint=int(c))
-        for sol, c, rep in zip(solutions, counts, is_rep) if rep
-    ]
+    return counts
 
 
 def _combination_weights(conj: np.ndarray, seed: int) -> np.ndarray:
@@ -647,9 +675,9 @@ def common_eigen_solutions(comb: Combination) -> EigenSolutionSet:
     (``_polish``), bitwise as if one at a time. A tuple is rejected when it is
     not finite or its normwise residual (``_residual``) exceeds
     ``TOL.eig_residual``. Accepted tuples closer than ``TOL.merge`` are merged
-    (``_dedupe``). Every one of the 2^N eigenvectors ends up in
-    ``solutions`` (counted by multiplicity_hint) or in ``rejected``, each
-    list in the order of the eigenvectors.
+    (``_dedupe``). Every one of the 2^N eigenvectors ends up among the
+    accepted roots (counted by multiplicity_hint) or the rejected tuples,
+    each in the order of the eigenvectors.
     """
     sys = comb.system
     q, defect = _read_off(comb)
@@ -660,12 +688,12 @@ def common_eigen_solutions(comb: Combination) -> EigenSolutionSet:
     residual = np.where(finite, _residual(xis, f, sys, np.linalg.norm(sys.m, np.inf)),
                         np.inf)
     xis[~finite] = q.T[~finite]
-    accepted, rejected = [], []
-    for xi, res in zip(xis, residual.tolist()):
-        (accepted if res <= TOL.eig_residual else rejected).append(
-            EigenSolution(xi, res, multiplicity_hint=1))
-    return EigenSolutionSet(solutions=_dedupe(accepted), rejected=rejected,
-                            conjugation_defect=defect)
+    ok = residual <= TOL.eig_residual
+    counts = _dedupe(xis[ok])
+    rep = counts > 0
+    return EigenSolutionSet(xi=xis[ok][rep], residual=residual[ok][rep],
+                            multiplicity_hint=counts[rep], rejected_xi=xis[~ok],
+                            rejected_residual=residual[~ok], conjugation_defect=defect)
 
 
 def _read_off(comb: Combination):
@@ -707,15 +735,18 @@ def build_critical_value_matrix(
     float64 when the weights and the blocks are real.
 
     Its eigenvalues are the values of the weighted cubic at every solution,
-    with the quotient-ring multiplicity structure.
+    with the quotient-ring multiplicity structure. A huge input scale
+    overflows it quietly; ``solve_reduction`` rejects an A_F that is not
+    finite.
     """
     weights = np.asarray(weights, dtype=complex)
     if not weights.imag.any():
         weights = weights.real
     dim = mm.dim
     out = np.zeros((dim, dim), dtype=np.result_type(weights, mm.rows))
-    for i in range(mm.n_vars):
-        if weights[i] != 0:
-            a = mm.matrix(i)
-            out += weights[i] * (a @ a @ a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(mm.n_vars):
+            if weights[i] != 0:
+                a = mm.matrix(i)
+                out += weights[i] * (a @ a @ a)
     return out

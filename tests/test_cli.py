@@ -191,6 +191,20 @@ class TestMainExitCodes:
         assert "  nonfinite_criteria: 1\n" in err
         assert "Traceback" not in err
 
+    # _norms squares the ~1e85 entries of the Newton iterates
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_cvm_overflow_exits_4(self, tmp_path, capsys):
+        # A_F = sum w_i A_{X_i}^3 overflows from this scale up (1e70 still
+        # solves): a typed numerical error before eigvals, not a LinAlgError
+        # traceback. The enum solve of the same input needs no A_F
+        path = write_system(tmp_path, "big.txt", ["1e85"], [1, 3, 2])
+        assert main(["--input", path, "--method", "cvm"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error (numerical): ") and "critical-value matrix" in err
+        assert "  nonfinite_entries: " in err and "  method: cvm\n" in err
+        assert "Traceback" not in err
+        assert main(["--input", path]) == 0
+
     def test_zero_numerator_exits_3(self, tmp_path, capsys):
         path = write_system(tmp_path, "zero.txt", [0], [1, 3, 2])
         assert main(["--input", path]) == 3

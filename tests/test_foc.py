@@ -96,7 +96,8 @@ class TestRecoverCandidate:
         # xi built from an atilde with vanishing leading coefficient
         v_minus = np.vander(-sys.poles, sys.n, increasing=True)
         xi = v_minus @ np.array([1.0, 0.0])
-        assert recover_candidates(sys, xi[None]) == ([], 1)
+        table, degenerate = recover_candidates(sys, xi[None])
+        assert (list(table), degenerate) == ([], 1)
 
     def test_denominator_exactly_monic(self):
         # dividing by this q0 leaves 1 - eps as the leading coefficient
@@ -226,7 +227,8 @@ class TestRecoverCandidates:
 
     def test_no_tuples(self):
         sys = two_pole_system()
-        assert recover_candidates(sys, np.zeros((0, 2))) == ([], 0)
+        table, degenerate = recover_candidates(sys, np.zeros((0, 2)))
+        assert (list(table), degenerate) == ([], 0)
         assert_matches_loop(sys, np.zeros((0, 2)))
 
     def test_lapack_calls_do_not_grow_with_the_batch(self, monkeypatch):
@@ -251,3 +253,41 @@ class TestRecoverCandidates:
             recover_candidates(sys, rng.standard_normal((k, 4)))
             counts.append(dict(calls))
         assert counts[0] == counts[1] == {"solve": 1, "lstsq": 1, "eigvals": 1}
+
+
+class TestCandidateTable:
+    def test_items_built_on_read(self):
+        """A solve builds the objects of its admissible candidates only; the
+        others are built when read, each equal to the one-tuple-at-a-time
+        oracle's candidate (a, q0, phi and the flags bit for bit, b within
+        1e-13 relative, ls_residual within 1e-14)."""
+        sys = validate(random_stable_system(np.random.default_rng(16), 5))
+        rep = solve_reduction(sys)
+        table = rep.candidates
+        rows = [i for i, rejection in enumerate(table.rejections) if rejection is None]
+        assert 0 < len(rows) < len(table)
+        assert [i for i, cp in enumerate(table._items) if cp is not None] == rows
+        assert all(table[i] is cp for i, cp in zip(rows, rep.admissible))
+        assert any(cp is rep.global_candidate for cp in rep.admissible)
+        got = list(table)
+        assert all(cp is not None for cp in table._items)
+        assert [cp.rejection for cp in got] == table.rejections
+        want, degenerate = loop_recover(sys, table.xi)
+        assert degenerate == 0 and len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.xi.tobytes() == w.xi.tobytes()
+            assert g.a.coeffs.dtype == w.a.coeffs.dtype
+            assert g.a.coeffs.tobytes() == w.a.coeffs.tobytes()
+            assert type(g.q0) is type(w.q0)
+            assert np.asarray(g.q0).tobytes() == np.asarray(w.q0).tobytes()
+            assert type(g.criterion) is complex
+            assert np.asarray(g.criterion).tobytes() == np.asarray(w.criterion).tobytes()
+            assert (g.is_real, g.is_hurwitz) == (w.is_real, w.is_hurwitz)
+            assert g.b.coeffs.dtype == w.b.coeffs.dtype and g.b.coeffs.shape == w.b.coeffs.shape
+            assert np.max(np.abs(g.b.coeffs - w.b.coeffs)) <= 1e-13 * np.max(np.abs(w.b.coeffs))
+            assert abs(g.ls_residual - w.ls_residual) <= 1e-14
+            assert g.rejection == w.rejection
+        # an item is built once, and slices read the same objects
+        assert table[-1] is got[-1] and table[1:3] == got[1:3]
+        with pytest.raises(IndexError):
+            table[len(table)]

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -471,7 +472,9 @@ class TestEigenKernelsAgainstLoops:
 
     @staticmethod
     def assert_same_dedupe(sols):
-        got, ref = _dedupe(sols), loop_dedupe(sols, TOL.merge)
+        counts = _dedupe(np.array([s.xi for s in sols]).reshape(len(sols), -1))
+        got = [replace(s, multiplicity_hint=int(c)) for s, c in zip(sols, counts) if c]
+        ref = loop_dedupe(sols, TOL.merge)
         assert [s.multiplicity_hint for s in got] == [s.multiplicity_hint for s in ref]
         for g, r in zip(got, ref):
             assert g.xi is r.xi and g.residual == r.residual
@@ -491,7 +494,8 @@ class TestEigenKernelsAgainstLoops:
             self.assert_same_dedupe([sols[k] for k in rng.permutation(len(sols))])
 
     def test_dedupe_empty(self):
-        assert _dedupe([]) == loop_dedupe([], TOL.merge) == []
+        assert _dedupe(np.zeros((0, 2), dtype=complex)).size == 0
+        assert loop_dedupe([], TOL.merge) == []
 
     def test_dedupe_random_sets(self, monkeypatch):
         """300 sets: N = 1..9, roots at scales 1e-12 to 1e5, some conjugated
@@ -519,6 +523,40 @@ class TestEigenKernelsAgainstLoops:
         monkeypatch.setattr(stetter, "_PAIR_BLOCK", 3)
         for sols in sets:
             self.assert_same_dedupe(sols)
+
+
+class TestEigenSolutionArrays:
+    """The array fields of an EigenSolutionSet against its object views."""
+
+    @staticmethod
+    def assert_views_match(eig, dim):
+        sols, rejected = eig.solutions, eig.rejected
+        assert len(sols) == len(eig.xi) == len(eig.residual) == len(eig.multiplicity_hint)
+        assert len(rejected) == len(eig.rejected_xi) == len(eig.rejected_residual)
+        for s, x, r, c in zip(sols, eig.xi, eig.residual, eig.multiplicity_hint):
+            assert s.xi.tobytes() == x.tobytes()
+            assert type(s.residual) is float and s.residual == r <= TOL.eig_residual
+            assert type(s.multiplicity_hint) is int and s.multiplicity_hint == c >= 1
+        for s, x, r in zip(rejected, eig.rejected_xi, eig.rejected_residual):
+            assert s.xi.tobytes() == x.tobytes()
+            assert type(s.residual) is float and s.residual.hex() == float(r).hex()
+            assert not s.residual <= TOL.eig_residual and s.multiplicity_hint == 1
+        # every eigenvector is a root, a copy merged into one, or a rejection
+        assert sum(s.multiplicity_hint for s in sols) + len(rejected) == dim
+
+    def test_example1(self, example1_matrices):
+        eig = common_eigen_solutions(combine(example1_matrices.system))
+        assert len(eig.xi) == 512 and len(eig.rejected_xi) == 0
+        self.assert_views_match(eig, 512)
+
+    def test_short_ledger(self):
+        # the seed-7 N = 6 system of test_lost_roots_fail_loudly (exit 4): at
+        # eigen seed 2 the read-off rejects 2 eigenvectors and merges 7
+        sys = pole_system(validate(random_real_pole_system(
+            np.random.default_rng(7), 6, lo=-6, hi=-0.5)))
+        eig = common_eigen_solutions(combine(sys, seed=2))
+        assert len(eig.rejected_xi) > 0 and np.any(eig.multiplicity_hint > 1)
+        self.assert_views_match(eig, 64)
 
 
 class TestEvaluatePolyAtMatrices:

@@ -1,0 +1,165 @@
+"""Every output bit of a fixed set of solves, as one JSON file.
+
+    python3 tools/output_digest.py <src-dir> <out.json>
+
+``<src-dir>`` is the directory that holds the ``h2reduce`` package to run
+(the ``src`` of a checkout). Two checkouts produce the same outputs when
+their files are byte-equal; run both in the same environment (BLAS library
+and thread count), since the rounding of BLAS products can depend on it.
+
+At eigen seeds 0 and 1 the digest runs
+- example 1 and the systems of ``perfbench.inputs.random_cycles(
+  default_rng(r), 24)`` for r = 1, 2, through ``solve_reduction``;
+- the cases of ``perfbench.inputs.relaxation_cases`` with the form shifts
+  0, 1 and 2, through ``cli.main`` (their argv asks for structured output).
+
+Each run records its exit code, its standard output, the bytes of the
+global numerator and denominator, the criterion value phi of every
+candidate in hex, a hash of every field of every candidate, and, on a
+typed failure, the diagnostics that do not measure time. Only ``perfbench/inputs.py`` is read from the benchmark.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import importlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (0, 1)
+# timings differ from run to run
+UNTIMED = ("stage_s", "elapsed_s")
+
+
+def _plain(value):
+    """A JSON value that pins ``value`` bit for bit."""
+    if isinstance(value, np.ndarray):
+        return {"dtype": str(value.dtype), "shape": list(value.shape),
+                "sha256": hashlib.sha256(np.ascontiguousarray(value).tobytes()).hexdigest()}
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, (bool, int, str)) or value is None:
+        return value
+    if isinstance(value, (float, np.floating)):
+        return float(value).hex()
+    if isinstance(value, (complex, np.complexfloating)):
+        return [float(value.real).hex(), float(value.imag).hex()]
+    return repr(value)
+
+
+def _candidate_bytes(cp) -> bytes:
+    """Every field of a candidate, with the types of its numbers."""
+    fields = (cp.xi, cp.a.coeffs, cp.b.coeffs, np.asarray(cp.q0), np.asarray(cp.criterion),
+              np.array([cp.is_real, cp.is_hurwitz]), np.asarray(cp.ls_residual))
+    kinds = f"{type(cp.q0).__name__} {type(cp.criterion).__name__} {type(cp.ls_residual).__name__}"
+    return b"".join(f.dtype.str.encode() + f.tobytes() for f in fields) + kinds.encode()
+
+
+def _report_fields(report) -> dict:
+    best = report.global_candidate
+    return {
+        "global_a": np.asarray(best.a.coeffs).tobytes().hex(),
+        "global_b": np.asarray(best.b.coeffs).tobytes().hex(),
+        "phi": [_plain(cp.criterion) for cp in report.candidates],
+        "candidates_sha256": hashlib.sha256(
+            b"".join(_candidate_bytes(cp) for cp in report.candidates)).hexdigest(),
+        "admissible": [i for i, cp in enumerate(report.candidates) if cp.is_admissible],
+        "critical_values": _plain(report.critical_values_sorted),
+    }
+
+
+def _error_fields(code: int, exc: Exception) -> dict:
+    diag = getattr(exc, "diagnostics", {})
+    return {"exit": code, "error": type(exc).__name__,
+            "diagnostics": _plain({k: v for k, v in diag.items() if k not in UNTIMED})}
+
+
+def library_run(h2, case, seed: int) -> dict:
+    from h2reduce.errors import (
+        H2ReduceError, InputError, NoAdmissibleSolutionError, ValidationError)
+
+    tf = h2.TransferFunction(h2.Polynomial(list(case.num)), h2.Polynomial(list(case.den)))
+    try:
+        report = h2.solve_reduction(h2.validate(tf), seed=seed, method=case.method)
+    except H2ReduceError as exc:
+        # the exit codes of cli.main
+        code = next(c for cls, c in ((InputError, 1), (NoAdmissibleSolutionError, 2),
+                                     (ValidationError, 3), (H2ReduceError, 4))
+                    if isinstance(exc, cls))
+        return _error_fields(code, exc)
+    except Exception as exc:  # an untyped failure is an output too
+        return {"exit": -1, "error": repr(exc)}
+    return {"exit": 0, **_report_fields(report)}
+
+
+def cli_run(cli, case, seed: int) -> dict:
+    reports = []
+    original = cli.solve_reduction
+
+    def capture(*args, **kwargs):
+        reports.append(original(*args, **kwargs))
+        return reports[-1]
+
+    out = io.StringIO()
+    cli.solve_reduction = capture
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(list(case.argv) + ["--seed", str(seed)])
+    except Exception as exc:  # cli.main is documented never to raise
+        return {"exit": -1, "error": repr(exc)}
+    finally:
+        cli.solve_reduction = original
+    record = {"exit": code, "stdout": out.getvalue()}
+    if code == 0:
+        record.update(_report_fields(reports[-1]))
+    return record
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print(__doc__.split("\n\n", 2)[1], file=sys.stderr)
+        return 2
+    src, dest = Path(argv[0]).resolve(), Path(argv[1])
+    sys.path.insert(0, str(src))
+    sys.path.insert(1, str(ROOT / "perfbench"))
+    h2 = importlib.import_module("h2reduce")
+    if not Path(h2.__file__).resolve().is_relative_to(src):
+        print(f"h2reduce was imported from {h2.__file__}, not from {src}", file=sys.stderr)
+        return 2
+    cli = importlib.import_module("h2reduce.cli")
+    inputs = importlib.import_module("inputs")
+
+    records = []
+    library = [("ex1", inputs.ex1_case())]
+    for r in (1, 2):
+        cycles = inputs.random_cycles(np.random.default_rng(r), 24)
+        library += [(f"rng{r}-cycle{c}-{case.label}", case)
+                    for c, cycle in enumerate(cycles) for case in cycle]
+    with tempfile.TemporaryDirectory() as work:
+        relax = [case for shift in range(3)
+                 for case in inputs.relaxation_cases(Path(work), shift)]
+        for seed in SEEDS:
+            for name, case in library:
+                records.append({"run": name, "seed": seed, **library_run(h2, case, seed)})
+            for case in relax:
+                records.append({"run": f"{case.label}-{case.form}", "seed": seed,
+                                **cli_run(cli, case, seed)})
+    dest.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
+    codes = {}
+    for rec in records:
+        codes[rec["exit"]] = codes.get(rec["exit"], 0) + 1
+    print(f"{len(records)} runs, exit codes {dict(sorted(codes.items()))} -> {dest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
