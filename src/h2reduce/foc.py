@@ -17,7 +17,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -94,8 +94,6 @@ class CandidateTable(Sequence):
         return len(self._items)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self)))]
         cp = self._items[i]
         if cp is None:
             r = self.real[i]
@@ -171,11 +169,7 @@ def _shifts(c: np.ndarray, rows: int) -> np.ndarray:
     return sliding_window_view(padded, c.shape[-1] + rows - 1, axis=-1)[..., ::-1, :]
 
 
-def recover_candidates(
-    sys: ValidatedSystem,
-    xis: np.ndarray,
-    criterion: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> Tuple[CandidateTable, int]:
+def recover_candidates(sys: ValidatedSystem, xis: np.ndarray) -> Tuple[CandidateTable, int]:
     """Map each row xi of the (k, N) array xis back to a candidate (a, b, q0).
 
     Solves V(-d) atilde = xi for the ascending coefficients of atilde,
@@ -184,8 +178,7 @@ def recover_candidates(
     np.roots builds) and fits the numerator b by least squares, each step
     one call for all rows. A row whose q0 is numerically zero cannot be
     normalized to monic form and yields no candidate. The criterion of a
-    candidate is phi(xi); ``criterion``, if given, maps the array of phi
-    values of the candidates to the values stored instead.
+    candidate is phi(xi).
 
     Returns the table of the candidates, in row order, and the number of
     rows dropped for a degenerate q0.
@@ -228,9 +221,6 @@ def recover_candidates(
     b_real = real & (np.abs(b.imag).max(axis=0)
                      <= TOL.real * (1.0 + np.abs(b).max(axis=0)))
 
-    phi = critical_values(sys, xis)
-    if criterion is not None:
-        phi = np.asarray(criterion(phi), dtype=complex)
-    table = CandidateTable(xi=xis, a=a, b=b.T, q0=q0, phi=phi, real=real,
+    table = CandidateTable(xi=xis, a=a, b=b.T, q0=q0, phi=critical_values(sys, xis), real=real,
                            hurwitz=hurwitz, b_real=b_real, ls_residual=ls_res)
     return table, int(np.count_nonzero(~keep))

@@ -13,8 +13,7 @@ diagnostics as ``stage_s``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -28,6 +27,7 @@ from .errors import (
 from .foc import CandidateTable, CriticalPoint, build_M, criterion_weights, recover_candidates
 from .stetter import (
     DiagQuadSystem,
+    _dedupe,
     build_critical_value_matrix,
     combine,
     common_eigen_solutions,
@@ -60,15 +60,11 @@ def _is_real_positive(v: complex) -> bool:
 
 def _critical_levels(phi: np.ndarray) -> List[float]:
     """Distinct real positive values among the criterion values phi, in
-    increasing order."""
-    levels: List[float] = []
-    for v in phi.tolist():
-        if _is_real_positive(v):
-            m = v.real
-            if not any(abs(m - u) <= TOL.value_cluster * max(m, u) for u in levels):
-                levels.append(m)
-    levels.sort()
-    return levels
+    increasing order: the representatives of their greedy clustering in the
+    order of phi (``_dedupe`` at TOL.value_cluster)."""
+    levels = np.array([v.real for v in phi.tolist() if _is_real_positive(v)])
+    counts = _dedupe(levels[:, None], TOL.value_cluster)
+    return np.sort(levels[counts > 0]).tolist()
 
 
 def select_global(candidates: Sequence[CriticalPoint]) -> Optional[CriticalPoint]:
@@ -106,7 +102,7 @@ def _match_critical_values(
             diagnostics={**diagnostics, "first_mismatch": int(bad[0]),
                          "worst_gap": float(gap.max()), "mismatched": int(bad.size)},
         )
-    return vals[nearest]
+    return vals[nearest].astype(complex, copy=False)
 
 
 def _lap(stage_s: Dict[str, float], name: str, start: float) -> float:
@@ -172,7 +168,6 @@ def solve_reduction(
         )
     t = _lap(stage_s, "eigen", t)
 
-    match = None
     if method == "cvm":
         a_f = build_critical_value_matrix(comb.matrices, criterion_weights(sys))
         bad = int(np.count_nonzero(~np.isfinite(a_f)))
@@ -183,9 +178,11 @@ def solve_reduction(
                 diagnostics={**diagnostics, "nonfinite_entries": bad},
             )
         vals = np.linalg.eigvals(a_f)
-        match = partial(_match_critical_values, vals, diagnostics=diagnostics)
         t = _lap(stage_s, "cvm", t)
-    candidates, degenerate_q0 = recover_candidates(sys, xis[~at_zero], criterion=match)
+    candidates, degenerate_q0 = recover_candidates(sys, xis[~at_zero])
+    if method == "cvm":
+        candidates = replace(candidates, phi=_match_critical_values(
+            vals, candidates.phi, diagnostics))
     diagnostics["degenerate_q0_rejections"] = degenerate_q0
     if method == "cvm":
         diagnostics["cvm_eigenvalues"] = vals

@@ -476,9 +476,9 @@ def _polish(starts: np.ndarray, sys: DiagQuadSystem):
     step improves on it. A root stops after 12 steps, once its residual is
     below TOL.polish_stop (1 + ||x||^2), or when its Jacobian is exactly
     singular. All roots step together, each with the arithmetic of a
-    one-root loop, so the result is bitwise that of polishing the columns
-    one at a time. F at a start is computed on the column in place: BLAS
-    rounds M x for a strided x differently than for a contiguous one.
+    one-root loop, so the result is bitwise that of polishing contiguous
+    copies of the columns one at a time, whatever the layout of the starts
+    (BLAS rounds M x for a strided x differently than for a contiguous one).
 
     Returns the polished roots as the rows of a (k, N) array, and F at each.
     """
@@ -486,11 +486,9 @@ def _polish(starts: np.ndarray, sys: DiagQuadSystem):
     diag = np.arange(n)
     m = sys.m
     mu = None if _is_plus_zero(sys.mu) else sys.mu
-    best_f = _resid(starts.T, m, mu)
-    best_r = _norms(best_f)
     x = starts.T.copy()
-    best = x.copy()
     f = _resid(x, m, mu)
+    best, best_f, best_r = x.copy(), f.copy(), _norms(f)
     live = np.arange(k)    # roots still iterating; x and f hold their rows
     jac = np.empty((k, n, n), dtype=complex)
     for _ in range(12):
@@ -544,16 +542,16 @@ def _residual(xis: np.ndarray, f: np.ndarray, sys: DiagQuadSystem,
 _PAIR_BLOCK = 1 << 15
 
 
-def _dedupe(x: np.ndarray) -> np.ndarray:
+def _dedupe(x: np.ndarray, tol: float) -> np.ndarray:
     """Greedy clustering of the rows of a (k, N) array, in row order.
 
     Each row joins the first earlier representative u with
-    ||s - u||_inf <= TOL.merge * max(||s||_inf, ||u||_inf, 1e-300), or becomes
+    ||s - u||_inf <= tol * max(||s||_inf, ||u||_inf, 1e-300), or becomes
     a representative itself. Returns, for each row, the number of rows in
     its cluster if it is a representative, else 0.
 
     Since | ||s|| - ||u|| | <= ||s - u||, only pairs whose norms lie within
-    4 TOL.merge max(||s||, 1e-300) of each other can merge; the factor 4 covers
+    4 tol max(||s||, 1e-300) of each other can merge; the factor 4 covers
     the rounding of the computed norms. One sort of the norms gives each
     row that window, the candidate pairs in it are tested as arrays, and
     the greedy rule then runs over the pairs that are close.
@@ -562,7 +560,7 @@ def _dedupe(x: np.ndarray) -> np.ndarray:
     norms = np.abs(x).max(axis=1)
     order = np.argsort(norms)
     sorted_norms = norms[order]
-    reach = 4.0 * TOL.merge * np.maximum(norms, 1e-300)
+    reach = 4.0 * tol * np.maximum(norms, 1e-300)
     lo = np.searchsorted(sorted_norms, norms - reach, side="left")
     width = np.searchsorted(sorted_norms, norms + reach, side="right") - lo
     ends = np.cumsum(width)
@@ -577,7 +575,7 @@ def _dedupe(x: np.ndarray) -> np.ndarray:
         keep = u < s
         s, u = s[keep], u[keep]
         gap = np.abs(x[s] - x[u]).max(axis=1)
-        close = gap <= TOL.merge * np.maximum(np.maximum(norms[u], norms[s]), 1e-300)
+        close = gap <= tol * np.maximum(np.maximum(norms[u], norms[s]), 1e-300)
         s, u = s[close], u[close]
         # each row's close pairs in order of their earlier member; those
         # before it are settled already
@@ -689,7 +687,7 @@ def common_eigen_solutions(comb: Combination) -> EigenSolutionSet:
                         np.inf)
     xis[~finite] = q.T[~finite]
     ok = residual <= TOL.eig_residual
-    counts = _dedupe(xis[ok])
+    counts = _dedupe(xis[ok], TOL.merge)
     rep = counts > 0
     return EigenSolutionSet(xi=xis[ok][rep], residual=residual[ok][rep],
                             multiplicity_hint=counts[rep], rejected_xi=xis[~ok],

@@ -13,12 +13,12 @@ each other. The exceptions are the references that ``h2reduce.stetter``
 must agree with exactly or to rounding: the column-by-column sweep that
 fills the multiplication matrices, the sum of the combination T^T over
 whole blocks, the one-root-at-a-time Newton polish, residual and dedupe
-loops at the end, and the one-tuple-at-a-time candidate recovery, which
-use the library's result types only. The multiplication matrices under
-test come from the one fill of the pipeline (``kept_matrices``), and
-``expand`` writes them out as a dense stack. ``reflect`` and
-``is_hurwitz`` are the textbook polynomial operations that candidate
-recovery batches.
+loops at the end, the pairwise clustering of the critical levels, and the
+one-tuple-at-a-time candidate recovery, which use the library's result
+types only. The multiplication matrices under test come from the one
+fill of the pipeline (``kept_matrices``), and ``expand`` writes them out
+as a dense stack. ``reflect`` and ``is_hurwitz`` are the textbook
+polynomial operations that candidate recovery batches.
 
 Polynomials in N variables are plain dicts {multi-index: coefficient}; a
 multi-index is a length-N tuple of exponents.
@@ -477,6 +477,19 @@ def loop_residual(xi: np.ndarray, sys, m_norm: float) -> float:
     scale = x_norm * x_norm + m_norm * x_norm + np.linalg.norm(sys.mu, np.inf)
     r = np.linalg.norm(xi * xi - sys.m @ xi - sys.mu, np.inf)
     return float(r / max(scale, 1e-300))
+
+
+def loop_critical_levels(phi: np.ndarray) -> List[float]:
+    """Distinct real positive values among the criterion values phi, in
+    increasing order: each value is compared with every level kept so far."""
+    levels: List[float] = []
+    for v in phi.tolist():
+        if abs(v.imag) <= TOL.value_real * (1.0 + abs(v)) and v.real > 0:
+            m = v.real
+            if not any(abs(m - u) <= TOL.value_cluster * max(m, u) for u in levels):
+                levels.append(m)
+    levels.sort()
+    return levels
 
 
 def _loop_solve_b(e, d, a, q0):

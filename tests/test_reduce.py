@@ -1,11 +1,13 @@
 import inspect
+import runpy
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import random_real_pole_system, random_stable_system
-from oracles import kept_matrices
+from oracles import kept_matrices, loop_critical_levels
 from h2reduce import (
     ConjugationDefectError,
     CriticalPoint,
@@ -18,6 +20,7 @@ from h2reduce import (
     TransferFunction,
     build_M,
     build_critical_value_matrix,
+    combine,
     common_eigen_solutions,
     generate_relaxation,
     h2_distance,
@@ -31,6 +34,7 @@ from dataclasses import replace
 import h2reduce.foc as foc_mod
 import h2reduce.reduce as reduce_mod
 import h2reduce.stetter as stetter
+from h2reduce.errors import H2ReduceError
 from h2reduce.foc import critical_values, criterion_weights
 from h2reduce.tolerances import TOL
 
@@ -99,6 +103,82 @@ class TestSelectGlobal:
 
     def test_empty(self):
         assert select_global([make_candidate(0.4, real=False)]) is None
+
+
+def perfbench_inputs() -> dict:
+    """The names of the benchmark's seeded inputs, ``perfbench/inputs.py``."""
+    return runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"))
+
+
+class TestCriticalLevels:
+    """``_critical_levels``, the greedy clustering of the real positive phi by
+    ``_dedupe``, against the pairwise loop it replaced."""
+
+    @staticmethod
+    def assert_same_levels(phi):
+        phi = np.asarray(phi, dtype=complex)
+        got = reduce_mod._critical_levels(phi)
+        assert got == loop_critical_levels(phi)
+        assert all(type(v) is float for v in got)
+        return got
+
+    def test_chain(self):
+        # a ~ b ~ c but a !~ c: greedy keeps a and c, unless b comes first
+        tol = TOL.value_cluster
+        a = 2.0
+        b = a * (1.0 + 0.75 * tol)
+        c = b * (1.0 + 0.75 * tol)
+        assert self.assert_same_levels([a, b, c]) == [a, c]
+        assert self.assert_same_levels([c, b, a]) == [a, c]
+        assert self.assert_same_levels([b, a, c]) == [b]
+        assert self.assert_same_levels([a, c, b, a, c]) == [a, c]
+
+    def test_near_ties(self):
+        # m a few ulps either side of |m - u| = tol max(m, u), after u and
+        # before it
+        tol = TOL.value_cluster
+        merged = []
+        for u in (3.0, 7e-9, 5e4):
+            for edge in (u / (1.0 - tol), u * (1.0 - tol)):
+                for k in range(-4, 5):
+                    m = edge + k * np.spacing(edge)
+                    merged.append(len(self.assert_same_levels([u, m])) == 1)
+                    self.assert_same_levels([m, u])
+        assert any(merged) and not all(merged)
+
+    def test_negative_complex_and_empty(self):
+        assert self.assert_same_levels([]) == []
+        assert self.assert_same_levels([-1.0, 0.0, -0.0, 2.0j, 1.0 + 1e-3j, -5.0 + 1e-9j]) == []
+        # an imaginary part within TOL.value_real counts as real
+        assert self.assert_same_levels([1.0 + 0.5e-6j, 1.0 + 3e-6j, -1.0, 5.0, 1.0]) == [1.0, 5.0]
+
+    def test_random_clusters(self):
+        tol = TOL.value_cluster
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            base = 10.0 ** rng.uniform(-12, 3, 5) * rng.choice([-1.0, 1.0], 5)
+            phi = (base[rng.integers(0, 5, 30)] * (1.0 + rng.uniform(-3, 3, 30) * tol)
+                   + 1j * rng.choice([0.0, 1e-7, 1e-5], 30))
+            self.assert_same_levels(phi)
+
+    def test_pipeline_values(self, example1_system):
+        """The phi of every root of example 1 and of four random-mixed
+        cycles, at eigen seeds 0-2, short ledgers included."""
+        cycles = perfbench_inputs()["random_cycles"](np.random.default_rng(1), 4)
+        systems = [example1_system] + [
+            validate(TransferFunction(Polynomial(list(case.num)), Polynomial(list(case.den))))
+            for cycle in cycles for case in cycle]
+        compared = 0
+        for sysv in systems:
+            for seed in range(3):
+                try:
+                    eig = common_eigen_solutions(combine(
+                        DiagQuadSystem(build_M(sysv), conj=sysv.conj_perm), seed))
+                except H2ReduceError:
+                    continue
+                self.assert_same_levels(critical_values(sysv, eig.xi))
+                compared += 1
+        assert compared >= 100
 
 
 class TestSolveReduction:

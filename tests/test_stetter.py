@@ -393,10 +393,10 @@ class TestEigenKernelsAgainstLoops:
     @staticmethod
     def assert_polish_matches_loops(sys, starts):
         """_polish and _residual on the columns of starts equal, byte for
-        byte, loop_polish and loop_residual on each column in place, and F
-        at each root is the F that loop_residual computes."""
+        byte, loop_polish and loop_residual on a contiguous copy of each
+        column, and F at each root is the F that loop_residual computes."""
         got, f = _polish(starts, sys)
-        loops = [loop_polish(starts[:, c], sys) for c in range(starts.shape[1])]
+        loops = [loop_polish(starts[:, c].copy(), sys) for c in range(starts.shape[1])]
         assert got.tobytes() == np.array(loops).reshape(got.shape).tobytes()
         want_f = [x * x - sys.m @ x - sys.mu for x in loops]
         assert f.tobytes() == np.array(want_f).reshape(f.shape).tobytes()
@@ -446,6 +446,31 @@ class TestEigenKernelsAgainstLoops:
             got = self.assert_polish_matches_loops(sys, starts)
         assert got[2].tobytes() == starts[:, 2].tobytes()
 
+    @pytest.mark.parametrize("family", ["real", "pairs"])
+    def test_polish_independent_of_layout(self, family):
+        """Roots that no Newton step improves come back as they are, with
+        the same F, whether the starts are in C or in Fortran order. M is in
+        Fortran order, as build_M returns it: BLAS then rounds M x for a
+        strided x differently than for a contiguous one."""
+        rng = np.random.default_rng(66)
+        tf = (random_real_pole_system(rng, 6, lo=-6.0) if family == "real"
+              else pole_pair_system(rng, 6))
+        v = validate(tf)
+        sys = DiagQuadSystem(np.asfortranarray(build_M(v)), conj=v.conj_perm)
+        roots, _ = _polish(_read_off(combine(sys, 0))[0], sys)
+        # polish again until no step improves any root
+        for _ in range(8):
+            again, _ = _polish(np.asfortranarray(roots.T), sys)
+            if again.tobytes() == roots.tobytes():
+                break
+            roots = again
+        else:
+            pytest.fail("the polished roots did not settle")
+        (x_c, f_c), (x_f, f_f) = (_polish(order(roots.T), sys)
+                                  for order in (np.ascontiguousarray, np.asfortranarray))
+        assert x_c.tobytes() == x_f.tobytes() == roots.tobytes()
+        assert f_c.tobytes() == f_f.tobytes()
+
     def test_row_norms_match_linalg_norm(self):
         rng = np.random.default_rng(6)
         z = ((rng.standard_normal((500, 7)) + 1j * rng.standard_normal((500, 7)))
@@ -472,7 +497,7 @@ class TestEigenKernelsAgainstLoops:
 
     @staticmethod
     def assert_same_dedupe(sols):
-        counts = _dedupe(np.array([s.xi for s in sols]).reshape(len(sols), -1))
+        counts = _dedupe(np.array([s.xi for s in sols]).reshape(len(sols), -1), TOL.merge)
         got = [replace(s, multiplicity_hint=int(c)) for s, c in zip(sols, counts) if c]
         ref = loop_dedupe(sols, TOL.merge)
         assert [s.multiplicity_hint for s in got] == [s.multiplicity_hint for s in ref]
@@ -494,7 +519,7 @@ class TestEigenKernelsAgainstLoops:
             self.assert_same_dedupe([sols[k] for k in rng.permutation(len(sols))])
 
     def test_dedupe_empty(self):
-        assert _dedupe(np.zeros((0, 2), dtype=complex)).size == 0
+        assert _dedupe(np.zeros((0, 2), dtype=complex), TOL.merge).size == 0
         assert loop_dedupe([], TOL.merge) == []
 
     def test_dedupe_random_sets(self, monkeypatch):

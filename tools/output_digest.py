@@ -15,8 +15,11 @@ At eigen seeds 0 and 1 the digest runs
 
 Each run records its exit code, its standard output, the bytes of the
 global numerator and denominator, the criterion value phi of every
-candidate in hex, a hash of every field of every candidate, and, on a
-typed failure, the diagnostics that do not measure time. Only ``perfbench/inputs.py`` is read from the benchmark.
+candidate in hex, a hash of every field of every candidate, and the
+diagnostics that do not measure time, of a typed failure or of a report
+(seed, method, conjugation defect, degenerate q0 rejections, the cvm
+eigenvalues and the cross-check). Only ``perfbench/inputs.py`` is read
+from the benchmark.
 """
 
 from __future__ import annotations
@@ -64,6 +67,10 @@ def _candidate_bytes(cp) -> bytes:
     return b"".join(f.dtype.str.encode() + f.tobytes() for f in fields) + kinds.encode()
 
 
+def _untimed(diagnostics: dict):
+    return _plain({k: v for k, v in diagnostics.items() if k not in UNTIMED})
+
+
 def _report_fields(report) -> dict:
     best = report.global_candidate
     return {
@@ -74,13 +81,14 @@ def _report_fields(report) -> dict:
             b"".join(_candidate_bytes(cp) for cp in report.candidates)).hexdigest(),
         "admissible": [i for i, cp in enumerate(report.candidates) if cp.is_admissible],
         "critical_values": _plain(report.critical_values_sorted),
+        "diagnostics": _untimed(report.diagnostics),
     }
 
 
 def _error_fields(code: int, exc: Exception) -> dict:
     diag = getattr(exc, "diagnostics", {})
     return {"exit": code, "error": type(exc).__name__,
-            "diagnostics": _plain({k: v for k, v in diag.items() if k not in UNTIMED})}
+            "diagnostics": _untimed(diag)}
 
 
 def library_run(h2, case, seed: int) -> dict:
