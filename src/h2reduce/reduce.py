@@ -12,6 +12,7 @@ diagnostics as ``stage_s``.
 
 from __future__ import annotations
 
+import cmath
 import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
@@ -55,7 +56,9 @@ class ReductionReport:
 
 
 def _is_real_positive(v: complex) -> bool:
-    return abs(v.imag) <= TOL.value_real * (1.0 + abs(v)) and v.real > 0
+    """Whether v is finite, real within TOL.value_real, and positive; an
+    overflowed value is no level (inf <= 1e-6 (1 + inf) would pass)."""
+    return cmath.isfinite(v) and abs(v.imag) <= TOL.value_real * (1.0 + abs(v)) and v.real > 0
 
 
 def _critical_levels(phi: np.ndarray) -> List[float]:
@@ -139,8 +142,8 @@ def solve_reduction(
 
     m = build_M(sys)
     t = _lap(stage_s, "build_M", t)
-    # one fill gives T^T for the eigen stage, and keeps the matrices only
-    # for the critical-value matrix
+    # one fill gives the real form of T^T for the eigen stage, and keeps the
+    # matrices only for the critical-value matrix
     comb = combine(DiagQuadSystem(m, conj=sys.conj_perm), seed=seed,
                    keep_matrices=method == "cvm")
     t = _lap(stage_s, "build_mult", t)

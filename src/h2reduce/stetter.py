@@ -26,15 +26,17 @@ the root ledger of ``reduce.solve_reduction`` turns into a numerical error.
 
 The roots are read off the eigenvectors of T^T for a random combination
 T = sum c_i A_{X_i}: each is the evaluation vector (b_k(xi))_k of one root,
-so xi_i is its entry 2^i over its entry 0. Row k of T^T is
-sum_j c_j (row k of A_{X_j}^T) over the bits j of k, plus the unit entries
-c_j at columns k | 2^j, so it is final once level popcount(k) is built:
-``combine`` forms T^T as the fill runs and holds only two adjacent levels
-at a time, never the A_{X_i}, which it keeps only on request (for the
-critical-value matrix). The system is real up to the conjugation of its
-variables (for the H2 problem, the pairing of conjugate poles), and the
-weights c respect it, so T^T is unitarily similar to a real matrix R
-through a sparse U that mixes each pair of conjugate monomials.
+so xi_i is its entry 2^i over its entry 0. The system is real up to the
+conjugation of its variables (for the H2 problem, the pairing of conjugate
+poles), and the weights c respect it, so T^T is unitarily similar to a real
+matrix R = U^H T^T U through a sparse U that mixes each pair of conjugate
+monomials. Row k of T^T is sum_j c_j (row k of A_{X_j}^T) over the bits j
+of k, plus the unit entries c_j at columns k | 2^j, so it is final once
+level popcount(k) is built; conjugate monomials share a popcount, so the
+rows of R of that level are final too. ``combine`` forms R as the fill runs
+and holds only two adjacent levels at a time, and of T^T only the rows of
+a few levels (at most 2^14 entries, or one level), never the A_{X_i},
+which it keeps only on request (for the critical-value matrix).
 The eigenvectors come from a real ``eig`` of R, and only the rows 0 and 2^i
 of U times them are formed. The 2^N tuples read off them are then handled
 as one array: all are Newton-polished together, one LAPACK solve per root
@@ -175,12 +177,20 @@ class MultiplicationMatrices:
 
 
 class Combination(NamedTuple):
-    """T^T = sum_i c_i A_{X_i}^T for the weights c of one eigen seed
-    (``_combination_weights``), read-only: all that the eigen stage reads.
-    ``matrices`` holds the A_{X_i} when the fill kept them, else None."""
+    """The real form R = U^H T^T U of T^T = sum_i c_i A_{X_i}^T, for the
+    weights c of one eigen seed (``_combination_weights``), read-only: all
+    that the eigen stage reads. U mixes each pair k < l of conjugate basis
+    monomials into (e_k + e_l)/sqrt2 and i(e_k - e_l)/sqrt2 and keeps the
+    other e_k, so R = T^T when the system is real and has no pairs.
+    ``conjugation_defect`` is the largest imaginary part of U^H T^T U that R
+    drops, relative to max|R|, and ``nonfinite_entries`` counts the entries of
+    T^T that are not finite. ``matrices`` holds the A_{X_i} when the fill kept
+    them, else None."""
 
     system: DiagQuadSystem
-    transpose: np.ndarray         # shape (D, D)
+    real_form: np.ndarray         # shape (D, D), float64
+    conjugation_defect: float
+    nonfinite_entries: int
     matrices: Optional[MultiplicationMatrices] = None
 
 
@@ -204,7 +214,7 @@ class EigenSolutionSet:
     multiplicity_hint: np.ndarray  # (k,) tuples merged into each root
     rejected_xi: np.ndarray       # (r, N) rejected tuples, multiplicity 1 each
     rejected_residual: np.ndarray  # (r,) their residuals; inf if not finite
-    conjugation_defect: float     # imaginary part dropped by ``_real_form``
+    conjugation_defect: float     # imaginary part dropped by the real form
 
     @property
     def solutions(self) -> List[EigenSolution]:
@@ -247,6 +257,20 @@ class _Level(NamedTuple):
         return self.sets.size
 
 
+class _Group(NamedTuple):
+    """Degree levels ``lo`` to ``hi`` - 1, whose rows ``ks`` of T^T the fill
+    sums into its work rows in that order and then mixes into R at once.
+    The unit entries c_j of those rows, at columns k | 2^j for j clear in k,
+    lie at the flat positions ``units`` of the work rows, j in
+    ``unit_bits``."""
+
+    lo: int
+    hi: int
+    ks: np.ndarray
+    units: np.ndarray
+    unit_bits: np.ndarray
+
+
 class _Plan(NamedTuple):
     """The ``_Level`` plans of levels 0..N, and where the fill keeps them.
 
@@ -255,9 +279,8 @@ class _Plan(NamedTuple):
     ``kept_at[L]``; streamed, at ``streamed_at[L]`` of a buffer of ``width``
     rows, even levels at its top and odd ones at its bottom, so adjacent
     levels never overlap. ``buf`` is the size of the product buffer,
-    ``most`` the largest level's count of indices. The unit entries of T^T
-    are c_j at the flat positions ``units`` (k D + k | 2^j, j clear in k),
-    j in ``unit_bits``.
+    ``most`` the largest level's count of indices. The ``groups`` of
+    consecutive levels hold at most ``group_rows`` indices each.
     """
 
     levels: tuple
@@ -267,13 +290,19 @@ class _Plan(NamedTuple):
     width: int
     buf: int
     most: int
-    units: np.ndarray
-    unit_bits: np.ndarray
+    groups: tuple
+    group_rows: int
 
 
 # Entries of the product that one step of the fill forms: bounds its
 # temporaries (1 MB complex).
 _BUILD_BLOCK = 1 << 16
+
+# Entries of T^T that a group of levels sums before it is mixed into R
+# (256 KB complex), unless one level holds more. Below N = 8 all of T^T is
+# one group, and the fill mixes as fast as a real form of the whole T^T
+# would; 2^16 raised the benchmark's random-mixed peak RSS by 1.4 MB.
+_GROUP_BLOCK = 1 << 14
 
 
 @lru_cache(maxsize=None)
@@ -307,10 +336,20 @@ def _fill_plan(n: int) -> _Plan:
             ks=ks, sets=sets, a_at=outs * (n + 1) + sets[:, None, :] + 1,
             add_at=outs * (n + 1) + np.hstack((np.zeros((count, 1), np.intp), clear + 1))[:, None],
             spots=block[:, :, None] + cols[:, None, :], dest=dest.ravel(), step=step))
-    k, bits = np.nonzero(~has)
-    units, unit_bits = k * dim + (k | (1 << bits)), bits
     block_rows = np.stack([where[has[:, i], i] for i in range(n)])
-    for a in (block_rows, units, unit_bits, *(a for lv in levels for a in lv[:-1])):
+    counts = [len(lv.ks) for lv in levels]
+    most = max(counts)
+    cap = max(most, _GROUP_BLOCK // dim)
+    groups, lo = [], 0
+    for lv in range(1, n + 2):
+        if lv == n + 1 or sum(counts[lo:lv + 1]) > cap:
+            ks = by_level[ends[lo] - counts[lo]:ends[lv - 1]]
+            row, bit = np.nonzero(~has[ks])
+            groups.append(_Group(lo, lv, ks, units=row * dim + (ks[row] | (1 << bit)),
+                                 unit_bits=bit))
+            lo = lv
+    for a in (block_rows, *(a for g in groups for a in g[2:]),
+              *(a for lv in levels for a in lv[:-1])):
         a.setflags(write=False)
     sizes = [lv.size for lv in levels]
     width = max(a + b for a, b in zip(sizes, sizes[1:]))
@@ -319,7 +358,29 @@ def _fill_plan(n: int) -> _Plan:
         kept_at=tuple(np.cumsum([0] + sizes[:-1]).tolist()),
         streamed_at=tuple(width - size if lv % 2 else 0 for lv, size in enumerate(sizes)),
         width=width, buf=max(lv.step * lv.a_at.shape[1] for lv in levels[:-1]) * dim,
-        most=max(len(lv.ks) for lv in levels), units=units, unit_bits=unit_bits)
+        most=most, groups=tuple(groups), group_rows=max(len(g.ks) for g in groups))
+
+
+@lru_cache(maxsize=256)
+def _pair_plan(n: int, conj: tuple):
+    """The pairs k < l of conjugate basis monomials at N = n under the
+    involution ``conj`` of the variables (``DiagQuadSystem.basis_conj``):
+    their columns k and l, and for each group of ``_fill_plan(n)`` the
+    places of the pairs among its rows. It depends on n and conj alone; the
+    cache holds the few involutions that a run meets, read-only."""
+    partner = ~_clear_bits(n) @ (1 << np.array(conj))
+    low = np.flatnonzero(np.arange(1 << n) < partner)
+    place = np.empty(1 << n, dtype=np.intp)     # row of k among its group's
+    rows = []
+    for g in _fill_plan(n).groups:
+        place[g.ks] = np.arange(len(g.ks))
+        p = partner[g.ks]
+        k = np.flatnonzero(g.ks < p)    # l = p[k] has k's popcount: same group
+        rows.append((k, place[p[k]]))
+    pairs = (low, partner[low], tuple(rows))
+    for a in (*pairs[:2], *(a for r in rows for a in r)):
+        a.setflags(write=False)
+    return pairs
 
 
 def _next_level(ext: np.ndarray, lv: _Level, src: np.ndarray, dst: np.ndarray,
@@ -347,22 +408,20 @@ def _next_level(ext: np.ndarray, lv: _Level, src: np.ndarray, dst: np.ndarray,
     return dst
 
 
-def _transpose_rows(t: np.ndarray, c: np.ndarray, lv: _Level, rows: np.ndarray,
-                    acc: np.ndarray, tmp: np.ndarray) -> None:
-    """Rows ``lv.ks`` of sum_j c_j A_{X_j}^T without its unit entries, from
-    the level's rows: row k is summed from zero over the bits j of k, in
-    increasing order, one scaled row c_j (row k of A_{X_j}^T) at a time, as
-    a sum over whole blocks makes it entry by entry. ``acc`` and ``tmp``
-    are (rows, D) work space.
+def _transpose_rows(c: np.ndarray, lv: _Level, rows: np.ndarray, out: np.ndarray,
+                    tmp: np.ndarray) -> None:
+    """Rows ``lv.ks`` of sum_j c_j A_{X_j}^T without its unit entries into
+    ``out``, from the level's rows: row k is summed from zero over the bits
+    j of k, in increasing order, one scaled row c_j (row k of A_{X_j}^T) at
+    a time, as a sum over whole blocks makes it entry by entry. ``tmp`` is
+    (rows, D) work space.
     """
     count, width = lv.sets.shape
-    x = rows.reshape(count, width, t.shape[1])
+    x = rows.reshape(count, width, out.shape[1])
     w = c[lv.sets]
-    s = acc[:count]
-    s.fill(0)
+    out.fill(0)
     for j in range(width):
-        s += np.multiply(w[:, j, None], x[:, j], out=tmp[:count])
-    t[lv.ks] = s
+        out += np.multiply(w[:, j, None], x[:, j], out=tmp[:count])
 
 
 def _carve(*specs):
@@ -381,50 +440,85 @@ def _carve(*specs):
 
 def _fill(sys: DiagQuadSystem, c: np.ndarray, keep: bool):
     """The fill, one degree level at a time, in real arithmetic when M and mu
-    are real. Returns T^T for the weights ``c`` and, if ``keep``, the rows of
-    all levels (else None).
+    are real. Returns R = U^H T^T U for the weights ``c`` (``Combination``),
+    its conjugation defect, the count of entries of T^T that are not finite
+    and, if ``keep``, the rows of all levels (else None).
 
     Level L + 1 comes from level L alone, and the rows of T^T of popcount L
-    too, so without ``keep`` only two adjacent levels are held. The
-    unit entries of T^T go on top of the sums at the end. The other
-    temporaries are bounded by ``_BUILD_BLOCK`` or by the largest level's
-    count of indices, and are cut from one allocation (``_carve``).
+    too, so without ``keep`` only two adjacent levels are held. The rows k
+    and conj(k) of a conjugate pair share a popcount, so the rows of T^T of
+    a group of levels (``_Group``) are mixed into rows of R at once: first
+    their column pairs, then their row pairs, as one complex U^H (T^T U)
+    does entry by entry. A real system without pairs has R = T^T, summed in
+    real arithmetic. The temporaries are bounded by ``_BUILD_BLOCK``,
+    ``_GROUP_BLOCK`` or the largest level's count of indices, and are cut
+    from one allocation (``_carve``).
     """
     n, dim = sys.n_vars, sys.dim
     real = not (sys.m.imag.any() or sys.mu.imag.any())
     m, mu = (sys.m.real, sys.mu.real) if real else (sys.m, sys.mu)
     ext = np.concatenate((mu[:, None], m), axis=1)
     plan = _fill_plan(n)
-    t = np.empty((dim, dim), dtype=np.result_type(c, ext))
-    buf, streamed, (acc, tmp) = _carve(
+    low, high, row_pairs = _pair_plan(n, tuple(sys.conj.tolist()))
+    mixed = bool(low.size) or not real      # else R = T^T, summed in float64
+    # allocated before the work space: after it, the heap layout raised the
+    # peak RSS of five example-1 solves from 57.4 to 64.2 MB
+    r = np.empty((dim, dim))
+    buf, streamed, work, tmp = _carve(
         ((plan.buf,), ext.dtype),
         ((0 if keep else plan.width, dim), ext.dtype),
-        ((2, plan.most, dim), t.dtype))
+        ((plan.group_rows, dim), complex if mixed else float),
+        ((plan.most, dim), complex if mixed else float))
     store = np.empty((n * dim // 2, dim), dtype=ext.dtype) if keep else streamed
+    starts = plan.kept_at if keep else plan.streamed_at
+    bad = 0
+    # max Im and -min Im over the rows of R so far
+    im_top = im_bottom = -np.inf
     # a huge M overflows; the eigen stage rejects a T^T that is not finite
     with np.errstate(over="ignore", invalid="ignore"):
-        for lv, start in zip(plan.levels, plan.kept_at if keep else plan.streamed_at):
-            rows = store[start:start + lv.size]
-            if lv.sets.size:    # level 0 has no rows
-                _next_level(ext, prev, src, rows, buf)
-            _transpose_rows(t, c, lv, rows, acc, tmp)
-            prev, src = lv, rows
-        t.reshape(-1)[plan.units] += c[plan.unit_bits]
-    t.setflags(write=False)
+        for g, (k, l) in zip(plan.groups, row_pairs):
+            s = work[:len(g.ks)]
+            at = 0
+            for lv, start in zip(plan.levels[g.lo:g.hi], starts[g.lo:g.hi]):
+                rows = store[start:start + lv.size]
+                if lv.sets.size:    # level 0 has no rows
+                    _next_level(ext, prev, src, rows, buf)
+                _transpose_rows(c, lv, rows, s[at:at + len(lv.ks)], tmp)
+                at += len(lv.ks)
+                prev, src = lv, rows
+            s.reshape(-1)[g.units] += c[g.unit_bits]
+            # the sum is finite only if every entry is, and costs half the count
+            if not np.isfinite(s.sum()):
+                bad += s.size - np.count_nonzero(np.isfinite(s))
+            if mixed:
+                if low.size:
+                    _mix_pairs(s, low, high, 1j)      # T^T U
+                    _mix_pairs(s.T, k, l, -1j)        # U^H (T^T U)
+                im_top = np.maximum(im_top, s.imag.max())
+                im_bottom = np.maximum(im_bottom, -s.imag.min())
+                s = s.real
+            r[g.ks] = s
+        # max |Im| / max |R|; np.maximum keeps a NaN as one max over all
+        # of Im would
+        defect = (float(max(im_top, im_bottom) / max(r.max(), -r.min(), 1e-300))
+                  if mixed else 0.0)
+    r.setflags(write=False)
     if keep:
         store.setflags(write=False)
-    return t, store if keep else None
+    return r, defect, int(bad), store if keep else None
 
 
 def combine(sys: DiagQuadSystem, seed: int = 0, keep_matrices: bool = False) -> Combination:
-    """T^T for the weights of ``seed``, formed level by level as the fill
-    runs, so that no A_{X_i} is held whole; with ``keep_matrices`` the same
-    fill also keeps them all, for the critical-value matrix."""
+    """R, the real form of T^T for the weights of ``seed``, formed level by
+    level as the fill runs, so that neither T^T nor any A_{X_i} is held
+    whole; with ``keep_matrices`` the same fill also keeps the A_{X_i}, for
+    the critical-value matrix."""
     c = _combination_weights(sys.conj, seed)
     if not c.imag.any():
         c = c.real    # keeps T^T real for a real system
-    t, rows = _fill(sys, c, keep_matrices)
-    return Combination(system=sys, transpose=t,
+    r, defect, bad, rows = _fill(sys, c, keep_matrices)
+    return Combination(system=sys, real_form=r, conjugation_defect=defect,
+                       nonfinite_entries=bad,
                        matrices=None if rows is None else MultiplicationMatrices(sys, rows))
 
 
@@ -617,34 +711,10 @@ def _mix_pairs(x: np.ndarray, k: np.ndarray, l: np.ndarray, phase: complex) -> N
     x[:, l] = a
 
 
-def _real_form(s: np.ndarray, partner: np.ndarray):
-    """R = U^H S U, real when conj(S) = P S P for the permutation
-    P e_k = e_{partner[k]}, and the imaginary part it drops.
-
-    U keeps e_k where partner[k] = k, and takes a pair k < l = partner[k] to
-    (e_k + e_l)/sqrt2 in column k and i(e_k - e_l)/sqrt2 in column l. Then
-    conj(U) = P U, so conj(R) = U^H P conj(S) P U = R. Returns R and
-    max|Im(U^H S U)| / max|R|, which is rounding error when S respects P.
-    A real ``s`` without pairs is R itself; otherwise S U is formed in one
-    complex copy of ``s``.
-    """
-    k = np.flatnonzero(np.arange(len(partner)) < partner)
-    l = partner[k]
-    if not k.size and not np.iscomplexobj(s):
-        return s, 0.0
-    s = s.astype(complex)
-    _mix_pairs(s, k, l, 1j)        # S U
-    _mix_pairs(s.T, k, l, -1j)     # U^H (S U), on the rows
-    r = s.real.copy()
-    # max |.| without a D x D temporary
-    im = max(s.imag.max(), -s.imag.min())
-    return r, float(im / max(r.max(), -r.min(), 1e-300))
-
-
-def _evaluation_rows(w: np.ndarray, rows: np.ndarray, partner: np.ndarray) -> np.ndarray:
-    """Rows ``rows`` of v = U w, for U of ``_real_form``: O(len(rows) D)."""
+def _evaluation_rows(w: np.ndarray, rows: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of v = U w, for U of ``Combination``, given the
+    conjugate monomial q of each: O(len(rows) D)."""
     h = np.sqrt(0.5)
-    q = partner[rows]
     v = w[rows].astype(complex)
     low, high = rows < q, rows > q
     v[low] = (w[rows[low]] + 1j * w[q[low]]) * h
@@ -663,8 +733,8 @@ def common_eigen_solutions(comb: Combination) -> EigenSolutionSet:
 
     The weights respect the system's conjugation, so conj(T) = P T P for the
     permutation P of the basis monomials that it induces, and T^T is
-    similar to the real matrix R of ``_real_form``. A real ``eig`` of R gives
-    the eigenvectors w, and only the rows 0 and 2^i of u = U w are formed.
+    similar to the real matrix R of ``comb``. A real ``eig`` of R gives the
+    eigenvectors w, and only the rows 0 and 2^i of u = U w are formed.
     When R drops an imaginary part above ``TOL.conjugation``, relative to
     max|R|, the matrices do not respect the declared conjugation and
     ``ConjugationDefectError`` is raised.
@@ -696,13 +766,14 @@ def common_eigen_solutions(comb: Combination) -> EigenSolutionSet:
 
 def _read_off(comb: Combination):
     """The tuples xi_i = u[2^i] / u[0] of all 2^N eigenvectors u of T^T, one
-    per column of an (N, 2^N) array, and the conjugation defect of R.
+    per column of an (N, 2^N) array, and the conjugation defect of R; the
+    u come from ``eig`` of R, mapped back by U.
 
     A T^T that is not finite (the fill overflowed, as a huge input scale
-    makes it) raises ``NumericalError`` before ``eig`` would."""
-    sys, t = comb.system, comb.transpose
-    if not np.isfinite(t).all():
-        bad = int(np.count_nonzero(~np.isfinite(t)))
+    makes it) raises ``NumericalError`` before ``eig`` would, and before the
+    conjugation defect is tested."""
+    sys, bad, defect = comb.system, comb.nonfinite_entries, comb.conjugation_defect
+    if bad:
         raise NumericalError(
             f"{bad} entries of the combination of multiplication matrices are "
             "not finite: the entries of M are too large to multiply out "
@@ -710,8 +781,6 @@ def _read_off(comb: Combination):
             diagnostics={"nonfinite_entries": bad,
                          "max_abs_m": float(np.abs(sys.m).max())},
         )
-    partner = sys.basis_conj()
-    r, defect = _real_form(t, partner)
     if defect > TOL.conjugation:
         raise ConjugationDefectError(
             f"conjugation defect {defect:.3e} exceeds tolerance "
@@ -719,9 +788,10 @@ def _read_off(comb: Combination):
             "respect the declared conjugation of the variables",
             diagnostics={"conjugation_defect": defect},
         )
-    _, w = np.linalg.eig(r)
+    _, w = np.linalg.eig(comb.real_form)
+    # rows 1 and x_i; the conjugate of x_i is x_conj(i)
     rows = np.concatenate(([0], 1 << np.arange(sys.n_vars)))
-    v = _evaluation_rows(w, rows, partner)
+    v = _evaluation_rows(w, rows, np.concatenate(([0], 1 << sys.conj)))
     with np.errstate(divide="ignore", invalid="ignore"):
         return v[1:] / v[0], defect
 

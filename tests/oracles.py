@@ -12,12 +12,12 @@ they must satisfy, and the commutation defect multiplies them out against
 each other. The exceptions are the references that ``h2reduce.stetter``
 must agree with exactly or to rounding: the column-by-column sweep that
 fills the multiplication matrices, the sum of the combination T^T over
-whole blocks, the one-root-at-a-time Newton polish, residual and dedupe
-loops at the end, the pairwise clustering of the critical levels, and the
-one-tuple-at-a-time candidate recovery, which use the library's result
-types only. The multiplication matrices under test come from the one
-fill of the pipeline (``kept_matrices``), and ``expand`` writes them out
-as a dense stack. ``reflect`` and ``is_hurwitz`` are the textbook
+whole blocks and its real form, the one-root-at-a-time Newton polish,
+residual and dedupe loops at the end, the pairwise clustering of the
+critical levels, and the one-tuple-at-a-time candidate recovery, which use
+the library's result types only. The multiplication matrices under test
+come from the one fill of the pipeline (``kept_matrices``), and ``expand``
+writes them out as a dense stack. ``reflect`` and ``is_hurwitz`` are the textbook
 polynomial operations that candidate recovery batches.
 
 Polynomials in N variables are plain dicts {multi-index: coefficient}; a
@@ -311,6 +311,46 @@ def combination_transpose(mm, c) -> np.ndarray:
     gamma, bits = np.nonzero(((np.arange(dim)[:, None] >> np.arange(n)) & 1) == 0)
     t[gamma, gamma | (1 << bits)] += c[bits]
     return t
+
+
+def _mix_pairs(x: np.ndarray, k: np.ndarray, l: np.ndarray, phase: complex) -> None:
+    """Columns k, l of x become (x_k + x_l)/sqrt2 and phase (x_k - x_l)/sqrt2."""
+    h = np.sqrt(0.5)
+    # scaled in place: a fresh temporary per step raised the peak RSS of
+    # repeated N = 9 solves by 4 MB
+    a = x[:, k]
+    a *= h
+    b = x[:, l]
+    b *= h
+    x[:, k] = a + b
+    a -= b
+    a *= phase
+    x[:, l] = a
+
+
+def real_form(s: np.ndarray, partner: np.ndarray):
+    """R = U^H S U, real when conj(S) = P S P for the permutation
+    P e_k = e_{partner[k]}, and the imaginary part it drops.
+
+    U keeps e_k where partner[k] = k, and takes a pair k < l = partner[k] to
+    (e_k + e_l)/sqrt2 in column k and i(e_k - e_l)/sqrt2 in column l. Then
+    conj(U) = P U, so conj(R) = U^H P conj(S) P U = R. Returns R and
+    max|Im(U^H S U)| / max|R|, which is rounding error when S respects P.
+    A real ``s`` without pairs is R itself; otherwise S U is formed in one
+    complex copy of ``s``. ``stetter.combine`` forms R level by level as the
+    fill runs, with the same operations per entry.
+    """
+    k = np.flatnonzero(np.arange(len(partner)) < partner)
+    l = partner[k]
+    if not k.size and not np.iscomplexobj(s):
+        return s, 0.0
+    s = s.astype(complex)
+    _mix_pairs(s, k, l, 1j)        # S U
+    _mix_pairs(s.T, k, l, -1j)     # U^H (S U), on the rows
+    r = s.real.copy()
+    # max |.| without a D x D temporary
+    im = max(s.imag.max(), -s.imag.min())
+    return r, float(im / max(r.max(), -r.min(), 1e-300))
 
 
 def dense_commutation_defect(mats) -> float:

@@ -152,6 +152,12 @@ class TestCriticalLevels:
         # an imaginary part within TOL.value_real counts as real
         assert self.assert_same_levels([1.0 + 0.5e-6j, 1.0 + 3e-6j, -1.0, 5.0, 1.0]) == [1.0, 5.0]
 
+    def test_nonfinite_phi_is_no_level(self):
+        # an overflowed phi neither swallows the finite levels nor reaches
+        # the clustering, whose subtraction would warn
+        phi = np.array([1, np.inf, 2, np.inf + np.inf * 1j, complex(np.inf, np.inf)])
+        assert reduce_mod._critical_levels(phi) == [1.0, 2.0]
+
     def test_random_clusters(self):
         tol = TOL.value_cluster
         rng = np.random.default_rng(3)

@@ -19,12 +19,14 @@ from oracles import (
     loop_residual,
     match_solution_sets,
     normal_form,
+    real_form,
     reference_multiplication_matrices,
 )
 from h2reduce import (
     ConjugationDefectError,
     DiagQuadSystem,
     MultiplicationMatrices,
+    NumericalError,
     Polynomial,
     TransferFunction,
     build_M,
@@ -38,7 +40,7 @@ from h2reduce import stetter
 from h2reduce.foc import criterion_weights
 from h2reduce.stetter import (
     EigenSolution, _combination_weights, _dedupe, _evaluation_rows,
-    _norms, _polish, _read_off, _real_form, _residual)
+    _norms, _polish, _read_off, _residual)
 from h2reduce.tolerances import TOL
 
 
@@ -118,7 +120,7 @@ class TestBuildMultiplicationMatrices:
         # bounded by its row blocks: the dense (N, D, D) stack alone would
         # exceed the bound at N = 9, as would a whole degree level at once
         comb, peak = self.traced_peak(lambda sys: combine(sys, keep_matrices=True), real)
-        mm, held = comb.matrices, comb.matrices.rows.nbytes + comb.transpose.nbytes
+        mm, held = comb.matrices, comb.matrices.rows.nbytes + comb.real_form.nbytes
         assert mm.rows.dtype == (np.float64 if real else np.complex128)
         assert mm.rows.shape == (9 * 256, 512)
         assert peak <= held + 4 * 2**20
@@ -126,21 +128,22 @@ class TestBuildMultiplicationMatrices:
 
     @pytest.mark.parametrize("real", [False, True])
     def test_combination_memory_bound(self, real):
-        # T^T is formed as the fill runs, from two adjacent degree levels at
+        # R is formed as the fill runs, from two adjacent degree levels at
         # a time, so forming it takes less memory than the blocks of the
         # same system alone; summing it from the blocks would need both
         comb, peak = self.traced_peak(combine, real)
         assert comb.matrices is None
-        assert comb.transpose.dtype == (np.float64 if real else np.complex128)
+        assert comb.real_form.dtype == np.float64
         assert peak < kept_matrices(comb.system).rows.nbytes
 
     @pytest.mark.parametrize("family", ["real", "complex", "pairs"])
     @pytest.mark.parametrize("n", range(2, 10))
     def test_combination_matches_dense(self, family, n):
-        # T^T formed level by level as the fill runs, streamed or with the
-        # matrices kept, equals the sum over whole blocks (oracles.py) and
-        # agrees with the combination of the expanded matrices, which sums
-        # in another order
+        # R formed level by level as the fill runs, streamed or with the
+        # matrices kept, equals the real form of the sum over whole blocks
+        # (oracles.py), with the same conjugation defect, and agrees with
+        # the real form of the combination of the expanded matrices, which
+        # sums in another order. A real system without pairs has R = T^T
         rng = np.random.default_rng(80 + n)
         if family == "pairs":
             sys = pole_system(validate(pole_pair_system(rng, n)))
@@ -151,18 +154,27 @@ class TestBuildMultiplicationMatrices:
             sys = DiagQuadSystem(m, mu=rng.uniform(-2, 2, n))
         mm = kept_matrices(sys)
         mats = expand(mm)
+        partner = sys.basis_conj()
         for seed in (0, 1):
             c = _combination_weights(sys.conj, seed)
             if family != "pairs":
                 c = c.real
             want = np.tensordot(c, mats, axes=1).T
-            oracle = combination_transpose(mm, c)
+            t = combination_transpose(mm, c)
+            assert t.dtype == want.dtype == (np.float64 if family == "real" else np.complex128)
+            oracle, defect = real_form(t, partner)
+            want, _ = real_form(want, partner)
+            if family == "real":
+                assert oracle is t and defect == 0.0
             kept = combine(sys, seed, keep_matrices=True)
             assert kept.matrices.rows.tobytes() == mm.rows.tobytes()
-            for got in (combine(sys, seed).transpose, kept.transpose):
-                assert got.dtype == oracle.dtype == want.dtype
-                assert np.array_equal(got, oracle)
-                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+            for got in (combine(sys, seed), kept):
+                r = got.real_form
+                assert r.dtype == oracle.dtype == want.dtype == np.float64
+                assert r.tobytes() == oracle.tobytes()
+                assert float(got.conjugation_defect).hex() == float(defect).hex()
+                assert got.nonfinite_entries == 0
+                assert np.abs(r - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_commutation(self):
         rng = np.random.default_rng(0)
@@ -268,7 +280,9 @@ def pairs6_matrices():
 
 
 class TestRealForm:
-    """T^T against the real matrix R = U^H T^T U built from the conjugation."""
+    """T^T against the real matrix R = U^H T^T U built from the conjugation:
+    the oracle ``real_form`` against the dense product, and the R that the
+    fill forms against the oracle."""
 
     @staticmethod
     def dense_u(partner):
@@ -288,9 +302,16 @@ class TestRealForm:
         mm = request.getfixturevalue(matrices)
         partner = mm.system.basis_conj()
         assert np.any(partner != np.arange(mm.dim))
-        t = np.tensordot(_combination_weights(mm.system.conj, 0), expand(mm), axes=1)
-        r, defect = _real_form(t.T.copy(), partner)
+        c = _combination_weights(mm.system.conj, 0)
+        t = np.tensordot(c, expand(mm), axes=1)
+        r, defect = real_form(t.T.copy(), partner)
         assert r.dtype == np.float64 and defect <= 1e-12
+        # the fill's R is the oracle's of the same T^T, bit for bit
+        comb = combine(mm.system, 0)
+        oracle, oracle_defect = real_form(combination_transpose(mm, c), partner)
+        assert comb.real_form.tobytes() == oracle.tobytes()
+        assert comb.conjugation_defect == oracle_defect and comb.nonfinite_entries == 0
+        assert np.abs(comb.real_form - r).max() <= 1e-13 * np.abs(r).max()
         u = self.dense_u(partner)
         assert np.allclose(u.conj().T @ u, np.eye(mm.dim), rtol=0, atol=1e-15)
         dense = u.conj().T @ t.T @ u
@@ -305,20 +326,27 @@ class TestRealForm:
         # rows 0 and 2^i of U w without forming U
         _, w = np.linalg.eig(r)
         rows = np.concatenate(([0], 1 << np.arange(mm.n_vars)))
-        assert np.allclose(_evaluation_rows(w, rows, partner), (u @ w)[rows],
+        assert np.allclose(_evaluation_rows(w, rows, partner[rows]), (u @ w)[rows],
                            rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("family", ["real", "pairs"])
     def test_real_stack_matches_complex(self, family):
-        # real poles give a float64 T^T with no pairs to mix; the same T^T
-        # cast to complex takes the complex path of _real_form. Complex
-        # poles give a complex128 T^T whose pairs mix
+        # real poles give a float64 T^T with no pairs to mix, which the fill
+        # takes as R; the same T^T cast to complex takes the complex path of
+        # the oracle real_form. Complex poles give a complex128 T^T whose
+        # pairs mix, in the fill as in the oracle
         tf = (generate_relaxation(5, 0.6) if family == "real"
               else pole_pair_system(np.random.default_rng(5), 5))
-        comb = combine(pole_system(validate(tf)))
-        assert comb.transpose.dtype == (np.float64 if family == "real" else np.complex128)
+        sys = pole_system(validate(tf))
+        comb = combine(sys)
+        c = _combination_weights(sys.conj, 0)
+        t = combination_transpose(kept_matrices(sys), c.real if family == "real" else c)
+        assert t.dtype == (np.float64 if family == "real" else np.complex128)
+        r, defect = real_form(t.astype(complex), sys.basis_conj())
+        assert comb.real_form.tobytes() == r.tobytes()
+        assert comb.conjugation_defect == defect
         eigs = [common_eigen_solutions(x) for x in
-                (comb, comb._replace(transpose=comb.transpose.astype(complex)))]
+                (comb, comb._replace(real_form=r, conjugation_defect=defect))]
         for eig in eigs:
             assert len(eig.solutions) == 32 and not eig.rejected
             assert all(s.multiplicity_hint == 1 for s in eig.solutions)
@@ -328,6 +356,42 @@ class TestRealForm:
             assert 0.0 < eigs[0].conjugation_defect <= 1e-12
         got, ref = ([s.xi for s in eig.solutions] for eig in eigs)
         assert match_solution_sets(got, ref, 1e-10)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_overflow_raises_before_defect(self, n):
+        # a numerator scaled by 1e150 takes M to 1e150-1e154, and the fill
+        # overflows. The count of entries that are not finite is the one
+        # over the oracle T^T, before the mixing turns them into NaN in R,
+        # and the error is the plain NumericalError, ahead of the defect
+        # test; a RuntimeWarning of the fill would fail the test
+        tf = pole_pair_system(np.random.default_rng(5), n)
+        sys = pole_system(validate(TransferFunction(
+            Polynomial(tf.numerator.coeffs * 1e150), tf.denominator)))
+        comb = combine(sys)
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = combination_transpose(kept_matrices(sys), _combination_weights(sys.conj, 0))
+        bad = int(np.count_nonzero(~np.isfinite(t)))
+        assert 0 < bad < t.size and comb.nonfinite_entries == bad
+        # the defect of such an R means nothing (NaN here)
+        assert not comb.conjugation_defect <= TOL.conjugation
+        with pytest.raises(NumericalError) as exc:
+            common_eigen_solutions(comb)
+        assert type(exc.value) is NumericalError
+        assert exc.value.diagnostics == {"nonfinite_entries": bad,
+                                         "max_abs_m": float(np.abs(sys.m).max())}
+
+    def test_eigen_stage_memory_bound(self, example1_matrices):
+        # the eigen stage reads R as the fill left it, with no complex T^T
+        # and no copy: it allocates eig's complex eigenvectors, 16 D^2
+        # bytes, and little else
+        comb = combine(example1_matrices.system)
+        tracemalloc.start()
+        try:
+            common_eigen_solutions(comb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 512**2 + 2**20
 
     def test_weights_keep_the_real_draw(self):
         for seed in range(5):
@@ -347,9 +411,16 @@ class TestRealForm:
             sys = validate(random_stable_system(rng, n))
             if np.any(sys.conj_perm != np.arange(n)):
                 break
+        undeclared = DiagQuadSystem(build_M(sys))
         with pytest.raises(ConjugationDefectError) as exc:
-            common_eigen_solutions(combine(DiagQuadSystem(build_M(sys))))
+            common_eigen_solutions(combine(undeclared))
         assert exc.value.diagnostics["conjugation_defect"] > 1e-10
+        # the defect is the oracle's, bit for bit: no pairs to mix, and the
+        # imaginary part of T^T against its real part
+        c = _combination_weights(undeclared.conj, 0).real
+        _, defect = real_form(combination_transpose(kept_matrices(undeclared), c),
+                              undeclared.basis_conj())
+        assert float(exc.value.diagnostics["conjugation_defect"]).hex() == float(defect).hex()
         assert common_eigen_solutions(combine(pole_system(sys))).conjugation_defect <= 1e-12
 
 
