@@ -1,6 +1,6 @@
 """End-to-end reduction-by-one pipeline and global selection.
 
-Pipeline: coupling matrix M -> diagonal-quadratic system (mu = 0) ->
+Pipeline: coupling matrix M -> diagonal-quadratic system x o x = M x ->
 a random combination T^T of its multiplication matrices, formed as they
 are filled -> simultaneous eigenvalue tuples -> the root ledger (all 2^N
 roots distinct, exactly one of them the zero root) -> candidate models and
@@ -149,12 +149,12 @@ def solve_reduction(
     t = _lap(stage_s, "build_mult", t)
 
     eig = common_eigen_solutions(comb)
-    diagnostics["conjugation_defect"] = eig.conjugation_defect
+    diagnostics["conjugation_defect"] = comb.conjugation_defect
     dim = comb.system.dim
     # the root ledger: the optimum is certified only if all 2^N roots are
-    # accounted for as distinct, accepted tuples, and mu = 0 makes xi = 0 a
-    # simple root, so exactly one of them may lie at zero; a second tuple
-    # there is a copy of it standing in for a root never found
+    # accounted for as distinct, accepted tuples, and x o x = M x has the
+    # simple root xi = 0, so exactly one of them may lie at zero; a second
+    # tuple there is a copy of it standing in for a root never found
     xis = eig.xi
     sizes = np.abs(xis).max(axis=1)
     at_zero = sizes <= TOL.zero_solution * (1.0 + sizes.max(initial=0.0))

@@ -1,28 +1,32 @@
 """Commuting multiplication matrices on the 2^N quotient space.
 
-A diagonal-quadratic system is x_i^2 = m_i . x + mu_i, one equation per
-variable. Its generators form a Groebner basis outright (the leading terms
-x_i^2 are pairwise coprime), so the quotient ring has the 2^N square-free
-monomials as a basis. Bit convention: bit i of a basis index corresponds to
-variable x_i (0-based); index 0 is the constant monomial.
+A diagonal-quadratic system is x_i^2 = m_i . x, one equation per variable:
+the first-order conditions x o x = M x, with no constant term, so xi = 0 is
+always a root. Its generators form a Groebner basis outright (the leading
+terms x_i^2 are pairwise coprime), so the quotient ring has the 2^N
+square-free monomials as a basis. Bit convention: bit i of a basis index
+corresponds to variable x_i (0-based); index 0 is the constant monomial.
 
 Column k of A_{X_i} holds the square-free normal form of x_i * b_k, where
 b_k is the k-th basis monomial. If b_k lacks x_i, x_i * b_k is itself
 square-free and the column is exactly the unit vector e_{k | 2^i}; only the
 D/2 columns with bit i set, the block B_i, carry numbers, as the rows of
-B_i^T. There one substitution x_i^2 -> m_i . x + mu_i applies, whose result
-is a combination of the columns b_k / x_i of the A_{X_j}, all of degree one
+B_i^T. There one substitution x_i^2 -> m_i . x applies, whose result is a
+combination of the columns b_k / x_i of the A_{X_j}, all of degree one
 less. So the fill runs level by level in the degree (popcount) of k: each
 index gamma of one level, with its stored rows of that level (row gamma of
 A_{X_j}^T for each bit j of gamma), gives row gamma | 2^i of A_{X_i}^T for
-each clear bit i by one small BLAS product, in real arithmetic when M and mu
-are real; the products of a block of gammas are one stacked matmul. Row
-gamma of A_{X_j}^T for a clear bit j is the unit row e_{gamma | 2^j}, whose
+each clear bit i by one small BLAS product, in real arithmetic when M is
+real; the products of a block of gammas are one stacked matmul. Row gamma
+of A_{X_j}^T for a clear bit j is the unit row e_{gamma | 2^j}, whose
 coefficient m_ij is added at column gamma | 2^j. The entries are bit for bit
 those of one product of all N rows of M with all N rows gamma, unit rows as
-zero rows. The matrices commute by construction, since the leading terms
-are coprime; a defective fill shows up as missing or spurious roots, which
-the root ledger of ``reduce.solve_reduction`` turns into a numerical error.
+zero rows. No substitution adds a constant term, so column 0 of every
+A_{X_i}^T is exactly zero: e_0, the evaluation vector of the root xi = 0,
+is an exact eigenvector of each. The matrices commute by construction,
+since the leading terms are coprime; a defective fill shows up as missing
+or spurious roots, which the root ledger of ``reduce.solve_reduction``
+turns into a numerical error.
 
 The roots are read off the eigenvectors of T^T for a random combination
 T = sum c_i A_{X_i}: each is the evaluation vector (b_k(xi))_k of one root,
@@ -66,32 +70,25 @@ N_CAP = 14
 
 @dataclass(frozen=True)
 class DiagQuadSystem:
-    """The pair (M, mu) defining x_i^2 = m_i . x + mu_i, and the involution
-    ``conj`` of the variables under which the system is real.
+    """The matrix M defining x_i^2 = m_i . x, and the involution ``conj`` of
+    the variables under which the system is real.
 
     ``conj`` defaults to the identity. A system with conj(m_ij) =
-    m_{conj(i), conj(j)} and conj(mu_i) = mu_{conj(i)} maps each root xi to
-    the root conj(xi)[conj]; ``common_eigen_solutions`` relies on it and
-    raises ``ConjugationDefectError`` when the matrices do not respect it.
+    m_{conj(i), conj(j)} maps each root xi to the root conj(xi)[conj];
+    ``common_eigen_solutions`` relies on it, and the eigen stage raises
+    ``ConjugationDefectError`` when the matrices do not respect it.
     """
 
     m: np.ndarray
-    mu: np.ndarray
     conj: np.ndarray
 
-    def __init__(self, m, mu=None, conj=None):
+    def __init__(self, m, conj=None):
         m = np.atleast_2d(np.asarray(m, dtype=complex))
         n = m.shape[0]
         if m.shape != (n, n):
             raise ValueError("M must be square")
         if n > N_CAP:
             raise BasisSizeError(f"basis too large: N={n} exceeds cap {N_CAP}")
-        if mu is None:
-            mu = np.zeros(n, dtype=complex)
-        else:
-            mu = np.atleast_1d(np.asarray(mu, dtype=complex))
-            if mu.shape != (n,):
-                raise ValueError("mu must have length N")
         if conj is None:
             conj = np.arange(n)
         else:
@@ -101,10 +98,9 @@ class DiagQuadSystem:
                     or not np.array_equal(conj[conj], np.arange(n))):
                 raise ValueError("conj must be an involutive permutation of the N variables")
             conj = conj.copy()
-        for a in (m, mu, conj):
+        for a in (m, conj):
             a.setflags(write=False)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "conj", conj)
 
     @property
@@ -114,12 +110,6 @@ class DiagQuadSystem:
     @property
     def dim(self) -> int:
         return 1 << self.n_vars
-
-    def basis_conj(self) -> np.ndarray:
-        """The involution of the basis monomials that ``conj`` induces: bit i
-        of index k moves to bit conj(i)."""
-        bits = (np.arange(self.dim)[:, None] >> np.arange(self.n_vars)) & 1
-        return bits @ (1 << self.conj)
 
 
 def _clear_bits(n: int) -> np.ndarray:
@@ -136,7 +126,7 @@ def _bit_rows(a: np.ndarray, i: int) -> np.ndarray:
 @dataclass(frozen=True)
 class MultiplicationMatrices:
     """The N commuting D x D matrices A_{X_i}, D = 2^N, stored as the rows
-    the fill computes; real if M and mu are. The eigen stage does not read
+    the fill computes; real if M is. The eigen stage does not read
     them, since the fill forms the one combination it needs as it goes
     (``combine``); they serve the critical-value matrix and tests.
 
@@ -214,7 +204,6 @@ class EigenSolutionSet:
     multiplicity_hint: np.ndarray  # (k,) tuples merged into each root
     rejected_xi: np.ndarray       # (r, N) rejected tuples, multiplicity 1 each
     rejected_residual: np.ndarray  # (r,) their residuals; inf if not finite
-    conjugation_defect: float     # imaginary part dropped by the real form
 
     @property
     def solutions(self) -> List[EigenSolution]:
@@ -233,15 +222,14 @@ class _Level(NamedTuple):
     The level holds row k of A_{X_j}^T for each k of popcount L and each bit
     j of k, k increasing and then j. ``ks`` (C,) are its indices, ``sets``
     (C, L) their bits. Toward level L + 1, gamma in ``ks`` multiplies its L
-    rows by the entries ``a_at`` (C, T, L) of [mu | M] (flat positions):
-    M's rows i clear in gamma and columns ``sets[gamma]``. At L = N - 1 the
-    one clear row is taken twice, so that every product is a BLAS matrix
-    product, which sums as the product over all N rows of M does. The
-    addends mu_i and m_ij, j clear, are the entries ``add_at`` of [mu | M];
-    they go to the flat positions ``spots`` of the product buffer (columns
-    gamma and gamma | 2^j). ``dest`` (C (N - L),) is the row of level L + 1
-    that each pair (gamma, clear i) fills; ``step`` the gammas of one
-    stacked product.
+    rows by the entries ``a_at`` (C, T, L) of M (flat positions): its rows i
+    clear in gamma and columns ``sets[gamma]``. At L = N - 1 the one clear
+    row is taken twice, so that every product is a BLAS matrix product,
+    which sums as the product over all N rows of M does. The addends m_ij,
+    j clear, are the entries ``add_at`` (C, T, N - L) of M; they go to the
+    flat positions ``spots`` of the product buffer (columns gamma | 2^j).
+    ``dest`` (C (N - L),) is the row of level L + 1 that each pair
+    (gamma, clear i) fills; ``step`` the gammas of one stacked product.
     """
 
     ks: np.ndarray
@@ -329,13 +317,12 @@ def _fill_plan(n: int) -> _Plan:
         rows = outs.shape[1]
         step = max(1, _BUILD_BLOCK // (max(rows, 1) * dim))
         grown = ks[:, None] | (1 << clear)
-        cols = np.hstack((ks[:, None], grown))
         block = ((np.arange(count) % step)[:, None] * rows + np.arange(rows)) * dim
         dest = where[grown, clear] - (first[by_level[hi]] if lv < n else 0)
         levels.append(_Level(
-            ks=ks, sets=sets, a_at=outs * (n + 1) + sets[:, None, :] + 1,
-            add_at=outs * (n + 1) + np.hstack((np.zeros((count, 1), np.intp), clear + 1))[:, None],
-            spots=block[:, :, None] + cols[:, None, :], dest=dest.ravel(), step=step))
+            ks=ks, sets=sets, a_at=outs * n + sets[:, None, :],
+            add_at=outs * n + clear[:, None], spots=block[:, :, None] + grown[:, None, :],
+            dest=dest.ravel(), step=step))
     block_rows = np.stack([where[has[:, i], i] for i in range(n)])
     counts = [len(lv.ks) for lv in levels]
     most = max(counts)
@@ -364,10 +351,11 @@ def _fill_plan(n: int) -> _Plan:
 @lru_cache(maxsize=256)
 def _pair_plan(n: int, conj: tuple):
     """The pairs k < l of conjugate basis monomials at N = n under the
-    involution ``conj`` of the variables (``DiagQuadSystem.basis_conj``):
-    their columns k and l, and for each group of ``_fill_plan(n)`` the
-    places of the pairs among its rows. It depends on n and conj alone; the
-    cache holds the few involutions that a run meets, read-only."""
+    involution ``conj`` of the variables, which moves bit i of a basis
+    index to bit conj(i): their columns k and l, and for each group of
+    ``_fill_plan(n)`` the places of the pairs among its rows. It depends on
+    n and conj alone; the cache holds the few involutions that a run meets,
+    read-only."""
     partner = ~_clear_bits(n) @ (1 << np.array(conj))
     low = np.flatnonzero(np.arange(1 << n) < partner)
     place = np.empty(1 << n, dtype=np.intp)     # row of k among its group's
@@ -383,22 +371,22 @@ def _pair_plan(n: int, conj: tuple):
     return pairs
 
 
-def _next_level(ext: np.ndarray, lv: _Level, src: np.ndarray, dst: np.ndarray,
+def _next_level(m: np.ndarray, lv: _Level, src: np.ndarray, dst: np.ndarray,
                 buf: np.ndarray) -> np.ndarray:
     """Fill ``dst``, the rows of level L + 1, from ``src``, those of level L,
-    whose plan is ``lv``, with ext = [mu | M]; returns ``dst``.
+    whose plan is ``lv``, with M flattened to ``m``; returns ``dst``.
 
-    Row gamma | 2^i of A_{X_i}^T, for gamma without bit i, is mu_i e_gamma
-    plus sum_j m_ij (row gamma of A_{X_j}^T). That row is stored when gamma
-    has bit j; otherwise it is the unit row e_{gamma | 2^j}, whose m_ij goes
+    Row gamma | 2^i of A_{X_i}^T, for gamma without bit i, is
+    sum_j m_ij (row gamma of A_{X_j}^T). That row is stored when gamma has
+    bit j; otherwise it is the unit row e_{gamma | 2^j}, whose m_ij goes
     onto column gamma | 2^j. The stored rows of one gamma are consecutive
     in ``src``; a block of gammas is one stacked matmul into ``buf``.
     """
     count, width = lv.sets.shape
     dim = src.shape[1]
-    rows, new = lv.a_at.shape[1], lv.add_at.shape[2] - 1
+    rows, new = lv.a_at.shape[1], lv.add_at.shape[2]
     x = src.reshape(count, width, dim)
-    a, add = np.take(ext, lv.a_at), np.take(ext, lv.add_at)
+    a, add = np.take(m, lv.a_at), np.take(m, lv.add_at)
     for lo in range(0, count, lv.step):
         hi = min(lo + lv.step, count)
         y = buf[:(hi - lo) * rows * dim].reshape(hi - lo, rows, dim)
@@ -439,8 +427,8 @@ def _carve(*specs):
 
 
 def _fill(sys: DiagQuadSystem, c: np.ndarray, keep: bool):
-    """The fill, one degree level at a time, in real arithmetic when M and mu
-    are real. Returns R = U^H T^T U for the weights ``c`` (``Combination``),
+    """The fill, one degree level at a time, in real arithmetic when M is
+    real. Returns R = U^H T^T U for the weights ``c`` (``Combination``),
     its conjugation defect, the count of entries of T^T that are not finite
     and, if ``keep``, the rows of all levels (else None).
 
@@ -455,9 +443,8 @@ def _fill(sys: DiagQuadSystem, c: np.ndarray, keep: bool):
     from one allocation (``_carve``).
     """
     n, dim = sys.n_vars, sys.dim
-    real = not (sys.m.imag.any() or sys.mu.imag.any())
-    m, mu = (sys.m.real, sys.mu.real) if real else (sys.m, sys.mu)
-    ext = np.concatenate((mu[:, None], m), axis=1)
+    real = not sys.m.imag.any()
+    m = (sys.m.real if real else sys.m).ravel()
     plan = _fill_plan(n)
     low, high, row_pairs = _pair_plan(n, tuple(sys.conj.tolist()))
     mixed = bool(low.size) or not real      # else R = T^T, summed in float64
@@ -465,11 +452,11 @@ def _fill(sys: DiagQuadSystem, c: np.ndarray, keep: bool):
     # peak RSS of five example-1 solves from 57.4 to 64.2 MB
     r = np.empty((dim, dim))
     buf, streamed, work, tmp = _carve(
-        ((plan.buf,), ext.dtype),
-        ((0 if keep else plan.width, dim), ext.dtype),
+        ((plan.buf,), m.dtype),
+        ((0 if keep else plan.width, dim), m.dtype),
         ((plan.group_rows, dim), complex if mixed else float),
         ((plan.most, dim), complex if mixed else float))
-    store = np.empty((n * dim // 2, dim), dtype=ext.dtype) if keep else streamed
+    store = np.empty((n * dim // 2, dim), dtype=m.dtype) if keep else streamed
     starts = plan.kept_at if keep else plan.streamed_at
     bad = 0
     # max Im and -min Im over the rows of R so far
@@ -482,7 +469,7 @@ def _fill(sys: DiagQuadSystem, c: np.ndarray, keep: bool):
             for lv, start in zip(plan.levels[g.lo:g.hi], starts[g.lo:g.hi]):
                 rows = store[start:start + lv.size]
                 if lv.sets.size:    # level 0 has no rows
-                    _next_level(ext, prev, src, rows, buf)
+                    _next_level(m, prev, src, rows, buf)
                 _transpose_rows(c, lv, rows, s[at:at + len(lv.ks)], tmp)
                 at += len(lv.ks)
                 prev, src = lv, rows
@@ -522,14 +509,10 @@ def combine(sys: DiagQuadSystem, seed: int = 0, keep_matrices: bool = False) -> 
                        matrices=None if rows is None else MultiplicationMatrices(sys, rows))
 
 
-def _resid(x: np.ndarray, m: np.ndarray, mu: Optional[np.ndarray]) -> np.ndarray:
-    """F(x) = x*x - M x - mu for each row x of a (k, N) array; mu None stands
-    for +0, whose subtraction changes no bit. The stacked matmul computes
-    M x row by row with the same BLAS call as ``M @ x``."""
-    f = x * x - np.matmul(m, x[:, :, None])[:, :, 0]
-    if mu is not None:
-        f -= mu
-    return f
+def _resid(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """F(x) = x*x - M x for each row x of a (k, N) array. The stacked matmul
+    computes M x row by row with the same BLAS call as ``M @ x``."""
+    return x * x - np.matmul(m, x[:, :, None])[:, :, 0]
 
 
 def _norms(z: np.ndarray) -> np.ndarray:
@@ -562,7 +545,7 @@ def _newton_steps(jac: np.ndarray, f: np.ndarray):
 
 def _polish(starts: np.ndarray, sys: DiagQuadSystem):
     """Newton-polish each column of an (N, k) array as a root of
-    F(x) = x^2 - Mx - mu.
+    F(x) = x^2 - Mx.
 
     Eigenvector-derived tuples carry O(sqrt(eps)) noise on clustered spectra;
     a few Newton steps push well-conditioned roots to machine precision.
@@ -579,9 +562,8 @@ def _polish(starts: np.ndarray, sys: DiagQuadSystem):
     n, k = starts.shape
     diag = np.arange(n)
     m = sys.m
-    mu = None if _is_plus_zero(sys.mu) else sys.mu
     x = starts.T.copy()
-    f = _resid(x, m, mu)
+    f = _resid(x, m)
     best, best_f, best_r = x.copy(), f.copy(), _norms(f)
     live = np.arange(k)    # roots still iterating; x and f hold their rows
     jac = np.empty((k, n, n), dtype=complex)
@@ -597,7 +579,7 @@ def _polish(starts: np.ndarray, sys: DiagQuadSystem):
         if ok is not None:
             live, x, step = live[ok], x[ok], step[ok]
         x = x - step
-        f = _resid(x, m, mu)
+        f = _resid(x, m)
         # the norms of F and of x, row by row, in one call
         norms = _norms(np.concatenate((f, x)))
         r, x_norm = norms[:len(f)], norms[len(f):]
@@ -615,19 +597,13 @@ def _polish(starts: np.ndarray, sys: DiagQuadSystem):
     return best, best_f
 
 
-def _is_plus_zero(a: np.ndarray) -> bool:
-    """Whether every entry of a complex array is +0 (not -0)."""
-    return not (a.any() or np.signbit(a.real).any() or np.signbit(a.imag).any())
-
-
-def _residual(xis: np.ndarray, f: np.ndarray, sys: DiagQuadSystem,
-              m_norm: float) -> np.ndarray:
-    """Normwise residual ||F(xi)||_inf = ||xi*xi - M xi - mu||_inf of each row
-    of a (k, N) array, given F at the rows, relative to
-    ||xi||^2 + ||M|| ||xi|| + ||mu||: the size of the terms that cancel, so a
-    tiny root next to large ones is judged on its own scale."""
+def _residual(xis: np.ndarray, f: np.ndarray, m_norm: float) -> np.ndarray:
+    """Normwise residual ||F(xi)||_inf = ||xi*xi - M xi||_inf of each row of
+    a (k, N) array, given F at the rows, relative to ||xi||^2 + ||M|| ||xi||:
+    the size of the terms that cancel, so a tiny root next to large ones is
+    judged on its own scale."""
     x_norm = np.abs(xis).max(axis=1)
-    scale = x_norm * x_norm + m_norm * x_norm + np.linalg.norm(sys.mu, np.inf)
+    scale = x_norm * x_norm + m_norm * x_norm
     return np.abs(f).max(axis=1) / np.maximum(scale, 1e-300)
 
 
@@ -748,30 +724,29 @@ def common_eigen_solutions(comb: Combination) -> EigenSolutionSet:
     each in the order of the eigenvectors.
     """
     sys = comb.system
-    q, defect = _read_off(comb)
+    q = _read_off(comb)
     finite = np.isfinite(q).all(axis=0)
     # a column that is not finite is rejected as it is; a zero start in its
     # place keeps the batch finite
     xis, f = _polish(np.where(finite, q, 0.0), sys)
-    residual = np.where(finite, _residual(xis, f, sys, np.linalg.norm(sys.m, np.inf)),
-                        np.inf)
+    residual = np.where(finite, _residual(xis, f, np.linalg.norm(sys.m, np.inf)), np.inf)
     xis[~finite] = q.T[~finite]
     ok = residual <= TOL.eig_residual
     counts = _dedupe(xis[ok], TOL.merge)
     rep = counts > 0
     return EigenSolutionSet(xi=xis[ok][rep], residual=residual[ok][rep],
                             multiplicity_hint=counts[rep], rejected_xi=xis[~ok],
-                            rejected_residual=residual[~ok], conjugation_defect=defect)
+                            rejected_residual=residual[~ok])
 
 
 def _read_off(comb: Combination):
     """The tuples xi_i = u[2^i] / u[0] of all 2^N eigenvectors u of T^T, one
-    per column of an (N, 2^N) array, and the conjugation defect of R; the
-    u come from ``eig`` of R, mapped back by U.
+    per column of an (N, 2^N) array; the u come from ``eig`` of R, mapped
+    back by U.
 
     A T^T that is not finite (the fill overflowed, as a huge input scale
     makes it) raises ``NumericalError`` before ``eig`` would, and before the
-    conjugation defect is tested."""
+    conjugation defect of ``comb`` is tested against ``TOL.conjugation``."""
     sys, bad, defect = comb.system, comb.nonfinite_entries, comb.conjugation_defect
     if bad:
         raise NumericalError(
@@ -793,7 +768,7 @@ def _read_off(comb: Combination):
     rows = np.concatenate(([0], 1 << np.arange(sys.n_vars)))
     v = _evaluation_rows(w, rows, np.concatenate(([0], 1 << sys.conj)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return v[1:] / v[0], defect
+        return v[1:] / v[0]
 
 
 def build_critical_value_matrix(

@@ -143,14 +143,16 @@ def validate(tf: TransferFunction) -> ValidatedSystem:
 
     e_at = np.array([eval_poly(e, p) for p in poles])
     e_scale = np.max(np.abs(e.coeffs))
-    zeros = roots(e) if e.degree >= 1 else None
+    zeros = None    # the zeros of e, found for the first tiny e(pole)
     for p, v in zip(poles, e_at):
         if abs(v) >= TOL.coprime * e_scale:
             continue
         # A tiny numerator value alone is not proof of a shared factor:
         # systems with tightly clustered poles evaluate small everywhere.
         # Confirm by actual pole-zero proximity, scaled to the pole itself.
-        if zeros is not None and np.min(np.abs(zeros - p)) < TOL.cancel * abs(p):
+        if zeros is None:
+            zeros = roots(e)
+        if np.min(np.abs(zeros - p)) < TOL.cancel * abs(p):
             raise PoleZeroCancellationError(p, v)
 
     # real d: the pole multiset is conjugate closed; record the pairing

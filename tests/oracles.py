@@ -12,7 +12,8 @@ they must satisfy, and the commutation defect multiplies them out against
 each other. The exceptions are the references that ``h2reduce.stetter``
 must agree with exactly or to rounding: the column-by-column sweep that
 fills the multiplication matrices, the sum of the combination T^T over
-whole blocks and its real form, the one-root-at-a-time Newton polish,
+whole blocks and its real form under the monomial involution
+``basis_conj``, the one-root-at-a-time Newton polish,
 residual and dedupe loops at the end, the pairwise clustering of the
 critical levels, and the one-tuple-at-a-time candidate recovery, which use
 the library's result types only. The multiplication matrices under test
@@ -207,24 +208,22 @@ MultiIndex = Tuple[int, ...]
 
 
 def generator(sys, i: int) -> Dict[MultiIndex, complex]:
-    """g_i = x_i^2 - m_i . x - mu_i of a DiagQuadSystem (0-based i)."""
+    """g_i = x_i^2 - m_i . x of a DiagQuadSystem (0-based i)."""
     n = sys.n_vars
     terms = {tuple(2 if j == i else 0 for j in range(n)): 1.0}
     for j in range(n):
         if sys.m[i, j] != 0:
             terms[tuple(1 if k == j else 0 for k in range(n))] = -sys.m[i, j]
-    if sys.mu[i] != 0:
-        terms[(0,) * n] = -sys.mu[i]
     return terms
 
 
 def normal_form(f: Dict[MultiIndex, complex], sys, strategy: str = "max_degree") -> np.ndarray:
-    """Square-free normal form of f modulo x_i^2 = m_i . x + mu_i.
+    """Square-free normal form of f modulo x_i^2 = m_i . x.
 
     Returns the coefficient vector over the 2^N square-free monomials (bit i
     of the index <-> variable i). Monomials with an exponent >= 2 wait in a
-    priority queue and are rewritten one at a time with x_i^2 -> m_i . x +
-    mu_i at their first such i; every term is classified once, when it is
+    priority queue and are rewritten one at a time with x_i^2 -> m_i . x at
+    their first such i; every term is classified once, when it is
     created. ``strategy`` sets the rewrite order, which must not change the
     result: "max_degree" takes the highest total degree first, "min_index"
     the lowest first reducible variable (then the highest degree).
@@ -255,8 +254,6 @@ def normal_form(f: Dict[MultiIndex, complex], sys, strategy: str = "max_degree")
         c = work.pop(alpha)
         i = next(k for k, e in enumerate(alpha) if e >= 2)
         cofactor = tuple(e - 2 if k == i else e for k, e in enumerate(alpha))
-        if sys.mu[i] != 0:
-            add(cofactor, c * sys.mu[i])
         for j in range(n):
             if sys.m[i, j] != 0:
                 add(tuple(e + 1 if k == j else e for k, e in enumerate(cofactor)),
@@ -278,8 +275,8 @@ def expand(mm) -> np.ndarray:
 def reference_multiplication_matrices(sys) -> np.ndarray:
     """The (N, D, D) stack of A_{X_i}, filled one column at a time in index
     order: column beta of A_i is e_{beta | 2^i} when beta lacks bit i, and
-    otherwise mu_i e_gamma + sum_j m_ij A_j[:, gamma] for gamma = beta ^ 2^i,
-    a column already filled."""
+    otherwise sum_j m_ij A_j[:, gamma] for gamma = beta ^ 2^i, a column
+    already filled."""
     n, dim = sys.n_vars, sys.dim
     mats = np.zeros((n, dim, dim), dtype=complex)
     for beta in range(dim):
@@ -290,12 +287,18 @@ def reference_multiplication_matrices(sys) -> np.ndarray:
             else:
                 gamma = beta ^ bit
                 col = np.zeros(dim, dtype=complex)
-                col[gamma] = sys.mu[i]
                 for j in range(n):
                     if sys.m[i, j] != 0:
                         col += sys.m[i, j] * mats[j, :, gamma]
                 mats[i, :, beta] = col
     return mats
+
+
+def basis_conj(sys) -> np.ndarray:
+    """The involution of the basis monomials that the conjugation ``sys.conj``
+    of the variables induces: bit i of index k moves to bit conj(i)."""
+    bits = (np.arange(sys.dim)[:, None] >> np.arange(sys.n_vars)) & 1
+    return bits @ (1 << sys.conj)
 
 
 def combination_transpose(mm, c) -> np.ndarray:
@@ -367,14 +370,13 @@ def dense_commutation_defect(mats) -> float:
 
 
 def annihilation_defect(mm) -> float:
-    """Largest ||A_i^2 - sum_j m_ij A_j - mu_i I||_F / max(||A_i||_F^2, 1):
-    how far the multiplication matrices are from satisfying the generators
-    x_i^2 - m_i . x - mu_i of the system they were built for."""
+    """Largest ||A_i^2 - sum_j m_ij A_j||_F / max(||A_i||_F^2, 1): how far
+    the multiplication matrices are from satisfying the generators
+    x_i^2 - m_i . x of the system they were built for."""
     sys, mats = mm.system, expand(mm)
-    eye = np.eye(mm.dim)
     worst = 0.0
     for i in range(mm.n_vars):
-        g = mats[i] @ mats[i] - np.tensordot(sys.m[i], mats, axes=1) - sys.mu[i] * eye
+        g = mats[i] @ mats[i] - np.tensordot(sys.m[i], mats, axes=1)
         worst = max(worst, np.linalg.norm(g) / max(np.linalg.norm(mats[i]) ** 2, 1.0))
     return float(worst)
 
@@ -483,14 +485,14 @@ def loop_dedupe(solutions, merge: float):
 
 
 def loop_polish(xi: np.ndarray, sys, max_iter: int = 12) -> np.ndarray:
-    """Newton-polish a root of F(x) = x^2 - Mx - mu, one root at a time.
+    """Newton-polish a root of F(x) = x^2 - Mx, one root at a time.
 
     Eigenvector-derived tuples carry O(sqrt(eps)) noise on clustered spectra;
     a few Newton steps push well-conditioned roots to machine precision.
     Returns the input unchanged if the iteration fails to improve it.
     """
     def resid(x):
-        return x * x - sys.m @ x - sys.mu
+        return x * x - sys.m @ x
 
     best, best_r = xi, np.linalg.norm(resid(xi))
     x = xi.copy()
@@ -510,12 +512,12 @@ def loop_polish(xi: np.ndarray, sys, max_iter: int = 12) -> np.ndarray:
 
 
 def loop_residual(xi: np.ndarray, sys, m_norm: float) -> float:
-    """Normwise residual ||xi*xi - M xi - mu||_inf of one root, relative to
-    ||xi||^2 + ||M|| ||xi|| + ||mu||: the size of the terms that cancel, so a
-    tiny root next to large ones is judged on its own scale."""
+    """Normwise residual ||xi*xi - M xi||_inf of one root, relative to
+    ||xi||^2 + ||M|| ||xi||: the size of the terms that cancel, so a tiny
+    root next to large ones is judged on its own scale."""
     x_norm = np.linalg.norm(xi, np.inf)
-    scale = x_norm * x_norm + m_norm * x_norm + np.linalg.norm(sys.mu, np.inf)
-    r = np.linalg.norm(xi * xi - sys.m @ xi - sys.mu, np.inf)
+    scale = x_norm * x_norm + m_norm * x_norm
+    r = np.linalg.norm(xi * xi - sys.m @ xi, np.inf)
     return float(r / max(scale, 1e-300))
 
 

@@ -7,6 +7,7 @@ import pytest
 from conftest import random_real_pole_system, random_stable_system
 from oracles import (
     annihilation_defect,
+    basis_conj,
     combination_transpose,
     dense_commutation_defect,
     elimination_solutions_n2,
@@ -45,8 +46,12 @@ from h2reduce.tolerances import TOL
 
 
 def random_system(rng, n, with_mu=False):
-    mu = rng.uniform(-2, 2, size=n) if with_mu else None
-    return DiagQuadSystem(rng.uniform(-2, 2, size=(n, n)), mu=mu)
+    """A DiagQuadSystem with M uniform on [-2, 2]. ``with_mu`` first draws n
+    uniforms and drops them, so that the tests that pass it keep the inputs
+    their seeds have always given."""
+    if with_mu:
+        rng.uniform(-2, 2, size=n)
+    return DiagQuadSystem(rng.uniform(-2, 2, size=(n, n)))
 
 
 def pole_pair_system(rng, n):
@@ -59,10 +64,31 @@ def pole_pair_system(rng, n):
 
 class TestBuildMultiplicationMatrices:
     def test_n1(self):
-        # single variable: quotient basis {1, x}, x*1 = x, x*x = m x + mu
-        sys = DiagQuadSystem([[1.5]], mu=[2.0])
+        # single variable: quotient basis {1, x}, x*1 = x, x*x = m x
+        sys = DiagQuadSystem([[1.5]])
         a = expand(kept_matrices(sys))[0]
-        assert np.allclose(a, [[0.0, 2.0], [1.0, 1.5]])
+        assert np.array_equal(a, [[0.0, 0.0], [1.0, 1.5]])
+
+    @pytest.mark.parametrize("family,n", [("real", n) for n in range(1, 10)]
+                             + [("pairs", n) for n in range(2, 10)] + [("example1", 9)])
+    def test_zero_root_is_structural(self, family, n, request):
+        # x o x = M x has no constant term, so no substitution reaches the
+        # constant monomial: row 0 of every A_{X_i} is exactly zero, and so
+        # is column 0 of R, which makes e_0 an exact eigenvector of R for
+        # xi = 0, the one root at zero that the root ledger demands
+        rng = np.random.default_rng(90 + n)
+        if family == "real":
+            sys = random_system(rng, n)
+        elif family == "pairs":
+            sys = pole_system(validate(pole_pair_system(rng, n)))
+            assert np.any(sys.conj != np.arange(n))
+        else:
+            sys = pole_system(request.getfixturevalue("example1_system"))
+        mm = kept_matrices(sys)
+        for i in range(n):
+            assert not mm.matrix(i)[0].any()
+        for seed in (0, 1):
+            assert not combine(sys, seed).real_form[:, 0].any()
 
     def test_columns_are_variable_products(self):
         # column beta of A_i is the normal form of x_i * (basis monomial beta)
@@ -79,33 +105,29 @@ class TestBuildMultiplicationMatrices:
     def test_fill_matches_column_sweep(self, n):
         # the fill takes BLAS products, which sum in their own order, so it
         # agrees with the column sweep to rounding; zeros in M exercise the
-        # skipped terms, complex M and mu both signs of every part. The real
-        # parts of the same draws build a float64 stack, held to the sweep of
-        # the same system
+        # skipped terms, complex M both signs of every part. The real parts
+        # of the same draws build a float64 stack, held to the sweep of the
+        # same system
         rng = np.random.default_rng(50 + n)
         m = rng.uniform(-2, 2, size=(n, n)) + 1j * rng.uniform(-2, 2, size=(n, n))
         m[rng.random((n, n)) < 0.3] = 0.0
         m[0, n - 1] = 0.0
-        for mu in (None, rng.uniform(-2, 2, size=n) - 1j * rng.uniform(0, 1, size=n)):
-            for real in (False, True):
-                sys = (DiagQuadSystem(m.real, mu=None if mu is None else mu.real)
-                       if real else DiagQuadSystem(m, mu=mu))
-                got = expand(kept_matrices(sys))
-                ref = reference_multiplication_matrices(sys)
-                # at N = 1 the draw zeroes M's one entry, so mu = 0 is real too
-                assert got.dtype == (np.float64 if real or n == 1 and mu is None
-                                     else np.complex128)
-                for g, r in zip(got, ref):
-                    assert np.abs(g - r).max() <= 1e-14 * np.abs(r).max()
+        for real in (False, True):
+            sys = DiagQuadSystem(m.real if real else m)
+            got = expand(kept_matrices(sys))
+            ref = reference_multiplication_matrices(sys)
+            # at N = 1 the draw zeroes M's one entry, so the system is real
+            assert got.dtype == (np.float64 if real or n == 1 else np.complex128)
+            for g, r in zip(got, ref):
+                assert np.abs(g - r).max() <= 1e-14 * np.abs(r).max()
 
     @staticmethod
     def traced_peak(build, real):
-        """The result of ``build`` on a seeded N = 9 system with mu != 0,
-        real or complex, and the tracemalloc peak of the call."""
+        """The result of ``build`` on a seeded N = 9 system, real or complex,
+        and the tracemalloc peak of the call."""
         rng = np.random.default_rng(70)
         m = rng.uniform(-2, 2, size=(9, 9))
-        sys = DiagQuadSystem(m if real else m + 1j * rng.uniform(-2, 2, size=(9, 9)),
-                             mu=rng.uniform(-2, 2, size=9))
+        sys = DiagQuadSystem(m if real else m + 1j * rng.uniform(-2, 2, size=(9, 9)))
         tracemalloc.start()
         try:
             out = build(sys)
@@ -151,10 +173,10 @@ class TestBuildMultiplicationMatrices:
             m = rng.uniform(-2, 2, size=(n, n))
             if family == "complex":
                 m = m + 1j * rng.uniform(-2, 2, size=(n, n))
-            sys = DiagQuadSystem(m, mu=rng.uniform(-2, 2, n))
+            sys = DiagQuadSystem(m)
         mm = kept_matrices(sys)
         mats = expand(mm)
-        partner = sys.basis_conj()
+        partner = basis_conj(sys)
         for seed in (0, 1):
             c = _combination_weights(sys.conj, seed)
             if family != "pairs":
@@ -222,7 +244,7 @@ class TestCommonEigenSolutions:
             sys = random_system(rng, n, with_mu=True)
             for s in common_eigen_solutions(combine(sys)).solutions:
                 x = s.xi
-                resid = np.abs(x**2 - sys.m @ x - sys.mu)
+                resid = np.abs(x**2 - sys.m @ x)
                 assert np.max(resid) <= 1e-6 * (1 + np.max(np.abs(x)) ** 2)
 
     def test_count_bound_homogeneous(self):
@@ -300,7 +322,7 @@ class TestRealForm:
     @pytest.mark.parametrize("matrices", ["example1_matrices", "pairs6_matrices"])
     def test_similar_to_transpose(self, matrices, request):
         mm = request.getfixturevalue(matrices)
-        partner = mm.system.basis_conj()
+        partner = basis_conj(mm.system)
         assert np.any(partner != np.arange(mm.dim))
         c = _combination_weights(mm.system.conj, 0)
         t = np.tensordot(c, expand(mm), axes=1)
@@ -342,18 +364,18 @@ class TestRealForm:
         c = _combination_weights(sys.conj, 0)
         t = combination_transpose(kept_matrices(sys), c.real if family == "real" else c)
         assert t.dtype == (np.float64 if family == "real" else np.complex128)
-        r, defect = real_form(t.astype(complex), sys.basis_conj())
+        r, defect = real_form(t.astype(complex), basis_conj(sys))
         assert comb.real_form.tobytes() == r.tobytes()
         assert comb.conjugation_defect == defect
+        if family == "real":
+            assert defect == 0.0
+        else:
+            assert 0.0 < defect <= 1e-12
         eigs = [common_eigen_solutions(x) for x in
                 (comb, comb._replace(real_form=r, conjugation_defect=defect))]
         for eig in eigs:
             assert len(eig.solutions) == 32 and not eig.rejected
             assert all(s.multiplicity_hint == 1 for s in eig.solutions)
-        if family == "real":
-            assert eigs[0].conjugation_defect == 0.0
-        else:
-            assert 0.0 < eigs[0].conjugation_defect <= 1e-12
         got, ref = ([s.xi for s in eig.solutions] for eig in eigs)
         assert match_solution_sets(got, ref, 1e-10)
 
@@ -419,9 +441,11 @@ class TestRealForm:
         # imaginary part of T^T against its real part
         c = _combination_weights(undeclared.conj, 0).real
         _, defect = real_form(combination_transpose(kept_matrices(undeclared), c),
-                              undeclared.basis_conj())
+                              basis_conj(undeclared))
         assert float(exc.value.diagnostics["conjugation_defect"]).hex() == float(defect).hex()
-        assert common_eigen_solutions(combine(pole_system(sys))).conjugation_defect <= 1e-12
+        declared = combine(pole_system(sys))
+        common_eigen_solutions(declared)
+        assert declared.conjugation_defect <= 1e-12
 
 
 class TestEigenKernelsAgainstLoops:
@@ -469,16 +493,16 @@ class TestEigenKernelsAgainstLoops:
         got, f = _polish(starts, sys)
         loops = [loop_polish(starts[:, c].copy(), sys) for c in range(starts.shape[1])]
         assert got.tobytes() == np.array(loops).reshape(got.shape).tobytes()
-        want_f = [x * x - sys.m @ x - sys.mu for x in loops]
+        want_f = [x * x - sys.m @ x for x in loops]
         assert f.tobytes() == np.array(want_f).reshape(f.shape).tobytes()
         m_norm = np.linalg.norm(sys.m, np.inf)
         want = np.array([loop_residual(x, sys, m_norm) for x in loops])
-        assert _residual(got, f, sys, m_norm).tobytes() == want.tobytes()
+        assert _residual(got, f, m_norm).tobytes() == want.tobytes()
         return got
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_polish_matches_loop_example1(self, example1_matrices):
-        q, _ = _read_off(combine(example1_matrices.system, 0))
+        q = _read_off(combine(example1_matrices.system, 0))
         self.assert_polish_matches_loops(example1_matrices.system, q)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -490,7 +514,7 @@ class TestEigenKernelsAgainstLoops:
               else pole_pair_system(rng, n))
         sys = pole_system(validate(tf))
         for seed in (0, 1):
-            q, _ = _read_off(combine(sys, seed))
+            q = _read_off(combine(sys, seed))
             assert np.isfinite(q).all()
             self.assert_polish_matches_loops(sys, q)
 
@@ -528,7 +552,7 @@ class TestEigenKernelsAgainstLoops:
               else pole_pair_system(rng, 6))
         v = validate(tf)
         sys = DiagQuadSystem(np.asfortranarray(build_M(v)), conj=v.conj_perm)
-        roots, _ = _polish(_read_off(combine(sys, 0))[0], sys)
+        roots, _ = _polish(_read_off(combine(sys, 0)), sys)
         # polish again until no step improves any root
         for _ in range(8):
             again, _ = _polish(np.asfortranarray(roots.T), sys)

@@ -16,6 +16,7 @@ from h2reduce import (
     strip_feedthrough,
     validate,
 )
+from h2reduce.tolerances import TOL
 
 
 class TestTransferFunction:
@@ -56,6 +57,17 @@ class TestValidate:
         den = Polynomial(np.convolve([1.0, 1.0], [1.0, 2.0]))
         with pytest.raises(PoleZeroCancellationError):
             validate(TransferFunction(num, den))
+
+    def test_small_value_without_cancellation(self):
+        # e = (s + 1)^6 - 1e-12 is about 1e-12 at the pole -1, under the
+        # coprime floor of its coefficient scale 20, yet its zeros lie 0.01
+        # from -1: no zero cancels the pole, and the system validates
+        num = np.poly(np.full(6, -1.0))
+        num[-1] -= 1e-12
+        den = np.poly(-np.arange(1.0, 8.0))
+        sys = validate(TransferFunction(Polynomial(num), Polynomial(den)))
+        assert abs(sys.e_at_poles[-1]) < TOL.coprime * np.abs(num).max()
+        assert abs(sys.poles[-1] + 1.0) < 1e-12
 
     def test_complex_coefficients_rejected(self):
         with pytest.raises(ValidationError):

@@ -3,9 +3,17 @@
     python3 tools/output_digest.py <src-dir> <out.json>
 
 ``<src-dir>`` is the directory that holds the ``h2reduce`` package to run
-(the ``src`` of a checkout). Two checkouts produce the same outputs when
-their files are byte-equal; run both in the same environment (BLAS library
-and thread count), since the rounding of BLAS products can depend on it.
+(the ``src`` of a checkout). The summary line gives the number of runs,
+their exit codes and the sha256 of the file written. Two checkouts produce
+the same outputs when their files are byte-equal, so a change is compared
+with its parent by
+
+    python3 tools/output_digest.py <parent-checkout>/src parent.json
+    python3 tools/output_digest.py src change.json
+
+and the two sha256 on the summary lines (or ``cmp parent.json
+change.json``). Run both in the same environment (BLAS library and thread
+count), since the rounding of BLAS products can depend on it.
 
 At eigen seeds 0 and 1 the digest runs
 - example 1 and the systems of ``perfbench.inputs.random_cycles(
@@ -161,11 +169,13 @@ def main(argv) -> int:
             for case in relax:
                 records.append({"run": f"{case.label}-{case.form}", "seed": seed,
                                 **cli_run(cli, case, seed)})
-    dest.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
+    text = (json.dumps(records, indent=1, sort_keys=True) + "\n").encode()
+    dest.write_bytes(text)
     codes = {}
     for rec in records:
         codes[rec["exit"]] = codes.get(rec["exit"], 0) + 1
-    print(f"{len(records)} runs, exit codes {dict(sorted(codes.items()))} -> {dest}")
+    print(f"{len(records)} runs, exit codes {dict(sorted(codes.items()))} -> {dest} "
+          f"sha256 {hashlib.sha256(text).hexdigest()}")
     return 0
 
 
