@@ -2,10 +2,10 @@
 
 Nothing here reuses pipeline internals: the norm oracle integrates the
 frequency response, the small-N solution oracles eliminate variables by
-hand / lex Groebner bases, the global-minimum oracle is a multi-start
-simplex search over the raw approximant parameters, the first-order
-residual multiplies out the defining polynomial identity (with numpy's
-polynomial arithmetic only), and the normal-form reference
+hand / lex Groebner bases, the global-minimum oracle solves the
+approximant's numerator exactly and searches its denominator alone, the
+first-order residual multiplies out the defining polynomial identity (with
+numpy's polynomial arithmetic only), and the normal-form reference
 rewrites polynomials term by term instead of filling matrix columns; the
 annihilation defect multiplies the matrices out against the generators
 they must satisfy, and the commutation defect multiplies them out against
@@ -396,52 +396,51 @@ def evaluate_poly_at_matrices(f: Dict[MultiIndex, complex], mm) -> np.ndarray:
     return out
 
 
-def multistart_global_minimum(num, den, order, rng, n_starts=24) -> float:
-    """Smallest squared H2 distance to a stable approximant of the given order.
+def projection(poles, res, a):
+    """The best numerator b over a monic stable denominator of order K = 1 or
+    2, for G = sum_i res_i/(s - poles_i), and what it removes from ||G||^2.
 
-    Parametrization keeps every iterate stable: order 1 uses a0 = exp(t),
-    order 2 uses a1 = exp(t1), a0 = exp(t0) (positive coefficients are
-    necessary and sufficient for degree <= 2 Hurwitz). The numerator is
-    unconstrained.
+    ``a[..., k]`` holds a_k, the coefficient of s^k. The s^k/a are orthogonal,
+    with ||s^k/a||^2 = 1/(2 prod_{j >= k} a_j), so b_k = c_k/||s^k/a||^2 for
+    c_k = <G, s^k/a> = sum_i res_i (-p_i)^k / a(-p_i), and
+    ||G - b/a||^2 = ||G||^2 - sum_k c_k b_k.
     """
-    num = np.asarray(num, dtype=float)
-    den = np.asarray(den, dtype=float)
+    x = -poles
+    k = a.shape[-1]
+    a_at = x**k + sum(a[..., [j]] * x**j for j in range(k))
+    c = np.stack([(res * x**j / a_at).sum(-1).real for j in range(k)], -1)
+    b = c * 2 * np.cumprod(a[..., ::-1], -1)[..., ::-1]
+    return b, (c * b).sum(-1)
 
-    def safe_exp(t):
-        return np.exp(np.clip(t, -30.0, 30.0))
 
-    if order == 1:
-        def unpack(z):
-            return np.array([z[1]]), np.array([1.0, safe_exp(z[0])])
-        dim = 2
-    elif order == 2:
-        def unpack(z):
-            return np.array([z[2], z[3]]), np.array([1.0, safe_exp(z[0]), safe_exp(z[1])])
-        dim = 4
-    else:
+def projected_global_minimum(num, den, order, rng) -> float:
+    """Smallest squared H2 distance from num/den to a stable approximant of
+    order 1 or 2, by variable projection (Golub-Pereyra 1973): ``projection``
+    solves the numerator exactly, and only log a is searched, on a grid over
+    [-12, 12]^order and then by Nelder-Mead from the two best grid points
+    (positive coefficients are necessary and sufficient for degree <= 2
+    Hurwitz). Raises ValueError when a best grid point lies on the grid edge.
+    """
+    if order not in (1, 2):
         raise ValueError("oracle supports order 1 and 2 only")
+    # callers draw their next systems from rng: a fixed draw here keeps those
+    # systems the same whatever the search does
+    rng.normal(scale=1.5, size=(24, 2 * order))
+    poles = np.roots(den)
+    res = _residues(num, den, poles)
+    norm_sq = _paired_distance_sq(poles, res, poles[:0], res[:0])
 
-    # the system's poles and residues are fixed; each evaluation finds the
-    # approximant's poles once and pairs them as residue_distance_sq does
-    sys_poles = np.roots(den)
-    sys_res = _residues(num, den, sys_poles)
+    def value(t):
+        return norm_sq - projection(poles, res, np.exp(np.clip(t, -30.0, 30.0)))[1]
 
-    def objective(z):
-        b, a = unpack(z)
-        a_poles = np.roots(a)
-        gap = np.min(np.abs(sys_poles[:, None] - a_poles[None, :]))
-        if gap < 1e-9 or (order == 2 and abs(a_poles[0] - a_poles[1]) < 1e-12):
-            return 1e6
-        return _paired_distance_sq(sys_poles, sys_res, a_poles, _residues(b, a, a_poles))
-
-    best = np.inf
-    for _ in range(n_starts):
-        z0 = rng.normal(scale=1.5, size=dim)
-        res = minimize(objective, z0, method="Nelder-Mead",
-                       options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000})
-        if res.fun < best:
-            best = float(res.fun)
-    return best
+    axis = np.linspace(-12.0, 12.0, 961 if order == 1 else 241)
+    grid = np.stack(np.meshgrid(*[axis] * order, indexing="ij"), -1).reshape(-1, order)
+    starts = grid[np.argsort(value(grid))[:2]]
+    if np.any(np.abs(starts) == axis[-1]):
+        raise ValueError("projected minimum lies on the edge of the log grid")
+    return min(float(minimize(value, t, method="Nelder-Mead",
+                              options={"xatol": 1e-8, "fatol": 1e-15}).fun)
+               for t in starts)
 
 
 def match_solution_sets(a: List[np.ndarray], b: List[np.ndarray], tol: float) -> bool:
