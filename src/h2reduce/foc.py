@@ -85,6 +85,7 @@ class CandidateTable(Sequence):
     hurwitz: np.ndarray      # (k,) bool
     b_real: np.ndarray       # (k,) bool
     ls_residual: np.ndarray  # (k,)
+    poles: np.ndarray        # (k, N - 1) roots of a in a real row, NaN in the others
     _items: list = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -175,10 +176,10 @@ def recover_candidates(sys: ValidatedSystem, xis: np.ndarray) -> Tuple[Candidate
     Solves V(-d) atilde = xi for the ascending coefficients of atilde,
     normalizes to a monic a with q0 the leading coefficient, tests each real
     a for stability by the eigenvalues of its companion matrix (the matrix
-    np.roots builds) and fits the numerator b by least squares, each step
-    one call for all rows. A row whose q0 is numerically zero cannot be
-    normalized to monic form and yields no candidate. The criterion of a
-    candidate is phi(xi).
+    np.roots builds; the table keeps them as the poles) and fits the
+    numerator b by least squares, each step one call for all rows. A row
+    whose q0 is numerically zero cannot be normalized to monic form and
+    yields no candidate. The criterion of a candidate is phi(xi).
 
     Returns the table of the candidates, in row order, and the number of
     rows dropped for a degenerate q0.
@@ -203,8 +204,9 @@ def recover_candidates(sys: ValidatedSystem, xis: np.ndarray) -> Tuple[Candidate
     comp = np.zeros((np.count_nonzero(real), n - 1, n - 1))
     comp[:, 0, :] = -a[real, 1:].real
     comp[:, np.arange(1, n - 1), np.arange(n - 2)] = 1.0
-    hurwitz = np.zeros(len(a), dtype=bool)
-    hurwitz[real] = np.all(np.linalg.eigvals(comp).real < -TOL.hurwitz, axis=1)
+    poles = np.full((len(a), n - 1), np.nan, dtype=complex)
+    poles[real] = np.linalg.eigvals(comp)
+    hurwitz = np.all(poles.real < -TOL.hurwitz, axis=1)
 
     # b d = e a - q0 reflect(a)^2, matching all 2N-1 coefficients; exact
     # divisibility holds at true critical points, so the residual doubles as
@@ -222,5 +224,5 @@ def recover_candidates(sys: ValidatedSystem, xis: np.ndarray) -> Tuple[Candidate
                      <= TOL.real * (1.0 + np.abs(b).max(axis=0)))
 
     table = CandidateTable(xi=xis, a=a, b=b.T, q0=q0, phi=critical_values(sys, xis), real=real,
-                           hurwitz=hurwitz, b_real=b_real, ls_residual=ls_res)
+                           hurwitz=hurwitz, b_real=b_real, ls_residual=ls_res, poles=poles)
     return table, int(np.count_nonzero(~keep))

@@ -19,21 +19,13 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    DefectiveEigenstructureError,
-    InputError,
-    NoAdmissibleSolutionError,
-    NumericalError,
-)
+from .errors import (DefectiveEigenstructureError, H2ReduceError, InputError,
+                     NoAdmissibleSolutionError, NumericalError)
 from .foc import CandidateTable, CriticalPoint, build_M, criterion_weights, recover_candidates
-from .stetter import (
-    DiagQuadSystem,
-    _dedupe,
-    build_critical_value_matrix,
-    combine,
-    common_eigen_solutions,
-)
-from .tf import TransferFunction, ValidatedSystem, h2_distance, h2_norm
+from .stetter import (DiagQuadSystem, _dedupe, build_critical_value_matrix, combine,
+                      common_eigen_solutions)
+# the solve calls no h2_distance; the benchmark's trace spans look it up here
+from .tf import ValidatedSystem, _merged_distance, h2_distance, h2_norm  # noqa: F401
 from .tolerances import TOL
 
 # entries of one block of the candidates-by-eigenvalues distance matrix
@@ -83,13 +75,11 @@ def select_global(candidates: Sequence[CriticalPoint]) -> Optional[CriticalPoint
     )
 
 
-def _match_critical_values(
-    vals: np.ndarray, phi: np.ndarray, diagnostics: Dict[str, object]
-) -> np.ndarray:
+def _match_critical_values(vals: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """The eigenvalue of A_F nearest each pointwise value phi.
 
-    Raises a NumericalError, carrying ``diagnostics`` and the mismatch, when
-    any of them lies further than TOL.cvm_gap (relative) from its value.
+    Raises a NumericalError, carrying the mismatch, when any of them lies
+    further than TOL.cvm_gap (relative) from its value.
     """
     rows = max(1, _MATCH_BLOCK // len(vals))
     nearest = np.empty(len(phi), dtype=np.intp)
@@ -102,8 +92,8 @@ def _match_critical_values(
             "critical-value matrix eigenvalues do not match the pointwise "
             f"criterion (relative gap {gap[bad[0]]:.3e}); the matrix path has "
             "broken down on this instance",
-            diagnostics={**diagnostics, "first_mismatch": int(bad[0]),
-                         "worst_gap": float(gap.max()), "mismatched": int(bad.size)},
+            diagnostics={"first_mismatch": int(bad[0]), "worst_gap": float(gap.max()),
+                         "mismatched": int(bad.size)},
         )
     return vals[nearest].astype(complex, copy=False)
 
@@ -139,99 +129,106 @@ def solve_reduction(
     stage_s: Dict[str, float] = {}
     diagnostics: Dict[str, object] = {"seed": seed, "method": method, "stage_s": stage_s}
     t0 = t = time.perf_counter()
+    try:
+        m = build_M(sys)
+        t = _lap(stage_s, "build_M", t)
+        # one fill gives the real form of T^T for the eigen stage, and keeps
+        # the matrices only for the critical-value matrix
+        comb = combine(DiagQuadSystem(m, conj=sys.conj_perm), seed=seed,
+                       keep_matrices=method == "cvm")
+        t = _lap(stage_s, "build_mult", t)
 
-    m = build_M(sys)
-    t = _lap(stage_s, "build_M", t)
-    # one fill gives the real form of T^T for the eigen stage, and keeps the
-    # matrices only for the critical-value matrix
-    comb = combine(DiagQuadSystem(m, conj=sys.conj_perm), seed=seed,
-                   keep_matrices=method == "cvm")
-    t = _lap(stage_s, "build_mult", t)
-
-    eig = common_eigen_solutions(comb)
-    diagnostics["conjugation_defect"] = comb.conjugation_defect
-    dim = comb.system.dim
-    # the root ledger: the optimum is certified only if all 2^N roots are
-    # accounted for as distinct, accepted tuples, and x o x = M x has the
-    # simple root xi = 0, so exactly one of them may lie at zero; a second
-    # tuple there is a copy of it standing in for a root never found
-    xis = eig.xi
-    sizes = np.abs(xis).max(axis=1)
-    at_zero = sizes <= TOL.zero_solution * (1.0 + sizes.max(initial=0.0))
-    if len(xis) != dim or np.count_nonzero(at_zero) != 1:
-        ledger = {"found": len(xis), "rejected": len(eig.rejected_xi),
-                  "merged": int(eig.multiplicity_hint.sum()) - len(xis),
-                  "at_zero": int(np.count_nonzero(at_zero))}
-        raise DefectiveEigenstructureError(
-            f"{ledger['found']} of {dim} roots found "
-            f"({ledger['rejected']} eigenvectors rejected, {ledger['merged']} "
-            f"merged), {ledger['at_zero']} of them at the simple root xi = 0; "
-            "a missing root could hide a lower critical value",
-            diagnostics={**diagnostics, **ledger},
-        )
-    t = _lap(stage_s, "eigen", t)
-
-    if method == "cvm":
-        a_f = build_critical_value_matrix(comb.matrices, criterion_weights(sys))
-        bad = int(np.count_nonzero(~np.isfinite(a_f)))
-        if bad:
-            raise NumericalError(
-                f"{bad} entries of the critical-value matrix are not finite: "
-                "the input scale overflows it (rescale the input)",
-                diagnostics={**diagnostics, "nonfinite_entries": bad},
+        eig = common_eigen_solutions(comb)
+        diagnostics["conjugation_defect"] = comb.conjugation_defect
+        dim = comb.system.dim
+        # the root ledger: the optimum is certified only if all 2^N roots are
+        # accounted for as distinct, accepted tuples, and x o x = M x has the
+        # simple root xi = 0, so exactly one of them may lie at zero; a
+        # second tuple there is a copy of it standing in for a root never found
+        xis = eig.xi
+        sizes = np.abs(xis).max(axis=1)
+        at_zero = sizes <= TOL.zero_solution * (1.0 + sizes.max(initial=0.0))
+        if len(xis) != dim or np.count_nonzero(at_zero) != 1:
+            ledger = {"found": len(xis), "rejected": len(eig.rejected_xi),
+                      "merged": int(eig.multiplicity_hint.sum()) - len(xis),
+                      "at_zero": int(np.count_nonzero(at_zero))}
+            raise DefectiveEigenstructureError(
+                f"{ledger['found']} of {dim} roots found "
+                f"({ledger['rejected']} eigenvectors rejected, {ledger['merged']} "
+                f"merged), {ledger['at_zero']} of them at the simple root xi = 0; "
+                "a missing root could hide a lower critical value",
+                diagnostics=ledger,
             )
-        vals = np.linalg.eigvals(a_f)
-        t = _lap(stage_s, "cvm", t)
-    candidates, degenerate_q0 = recover_candidates(sys, xis[~at_zero])
-    if method == "cvm":
-        candidates = replace(candidates, phi=_match_critical_values(
-            vals, candidates.phi, diagnostics))
-    diagnostics["degenerate_q0_rejections"] = degenerate_q0
-    if method == "cvm":
-        diagnostics["cvm_eigenvalues"] = vals
-    t = _lap(stage_s, "recover", t)
+        t = _lap(stage_s, "eigen", t)
 
-    # objects only for the admissible candidates; the rest stay rows of the
-    # table until a caller reads them
-    rows = [i for i, rejection in enumerate(candidates.rejections) if rejection is None]
-    admissible = [candidates[i] for i in rows]
-    # a phi that is not finite (xi^3 overflowed) cannot be ranked, and
-    # skipping it could hide the optimum
-    nonfinite = int(np.count_nonzero(~np.isfinite(candidates.phi[rows])))
-    if nonfinite:
-        raise NumericalError(
-            f"{nonfinite} admissible candidates have a criterion value that is "
-            "not finite: the input scale overflows it (rescale the input)",
-            diagnostics={**diagnostics, "nonfinite_criteria": nonfinite},
-        )
-    norm = h2_norm(sys)
+        candidates, degenerate_q0 = recover_candidates(sys, xis[~at_zero])
+        t = _lap(stage_s, "recover", t)
 
-    best = select_global(admissible)
-    cross = {}
-    for idx, cp in enumerate(admissible):
-        approx = TransferFunction(cp.b, cp.a)
-        dist = h2_distance(sys, approx)
-        gap = abs(cp.criterion.real - dist**2)
-        cross[idx] = {"distance": dist, "gap": gap,
-                      "flagged": gap > TOL.cross_check * (1.0 + cp.criterion.real)}
-    diagnostics["cross_check"] = cross
-    t = _lap(stage_s, "select", t)
-    diagnostics["elapsed_s"] = t - t0
+        if method == "cvm":
+            a_f = build_critical_value_matrix(comb.matrices, criterion_weights(sys))
+            bad = int(np.count_nonzero(~np.isfinite(a_f)))
+            if bad:
+                raise NumericalError(
+                    f"{bad} entries of the critical-value matrix are not finite: "
+                    "the input scale overflows it (rescale the input)",
+                    diagnostics={"nonfinite_entries": bad},
+                )
+            vals = np.linalg.eigvals(a_f)
+            candidates = replace(candidates, phi=_match_critical_values(vals, candidates.phi))
+            diagnostics["cvm_eigenvalues"] = vals
+            t = _lap(stage_s, "cvm", t)
+        diagnostics["degenerate_q0_rejections"] = degenerate_q0
 
-    if best is None:
-        raise NoAdmissibleSolutionError(
-            "no admissible critical point found: every candidate was "
-            "complex, non-Hurwitz, or rejected",
-            diagnostics={**diagnostics,
-                         "n_candidates": len(candidates),
-                         "rejections": candidates.rejections},
-        )
+        # objects only for the admissible candidates; the rest stay rows of
+        # the table until a caller reads them
+        rows = [i for i, rejection in enumerate(candidates.rejections) if rejection is None]
+        admissible = [candidates[i] for i in rows]
+        # a phi that is not finite (xi^3 overflowed) cannot be ranked, and
+        # skipping it could hide the optimum
+        nonfinite = int(np.count_nonzero(~np.isfinite(candidates.phi[rows])))
+        if nonfinite:
+            raise NumericalError(
+                f"{nonfinite} admissible candidates have a criterion value that "
+                "is not finite: the input scale overflows it (rescale the input)",
+                diagnostics={"nonfinite_criteria": nonfinite},
+            )
+        norm = h2_norm(sys)
+
+        best = select_global(admissible)
+        cross = {}
+        for idx, (i, cp) in enumerate(zip(rows, admissible)):
+            # the roots of a from the recovery, real when all of them are (as
+            # np.roots gives them), so the distance is h2_distance's
+            poles = candidates.poles[i]
+            if not poles.imag.any():
+                poles = poles.real
+            dist = _merged_distance(sys, cp.b, cp.a, poles)
+            gap = abs(cp.criterion.real - dist**2)
+            cross[idx] = {"distance": dist, "gap": gap,
+                          "flagged": not gap <= TOL.cross_check * (1.0 + cp.criterion.real)}
+        diagnostics["cross_check"] = cross
+        levels = _critical_levels(candidates.phi)
+        t = _lap(stage_s, "select", t)
+        diagnostics["elapsed_s"] = t - t0
+
+        if best is None:
+            raise NoAdmissibleSolutionError(
+                "no admissible critical point found: every candidate was "
+                "complex, non-Hurwitz, or rejected",
+                diagnostics={"n_candidates": len(candidates),
+                             "rejections": candidates.rejections},
+            )
+    except H2ReduceError as exc:
+        # the one place where the run's diagnostics enter a typed failure,
+        # ahead of what the failing stage measured
+        exc.diagnostics = {**diagnostics, **exc.diagnostics}
+        raise
     return ReductionReport(
         system_norm=norm,
         candidates=candidates,
         admissible=admissible,
         global_candidate=best,
         global_error=best.error,
-        critical_values_sorted=_critical_levels(candidates.phi),
+        critical_values_sorted=levels,
         diagnostics=diagnostics,
     )

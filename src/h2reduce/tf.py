@@ -194,11 +194,6 @@ def h2_norm(sys: ValidatedSystem) -> float:
     return float(np.sqrt(sq.real))
 
 
-def _residues(num: Polynomial, den: Polynomial, poles: np.ndarray) -> np.ndarray:
-    dp = derivative(den)
-    return np.array([eval_poly(num, p) / eval_poly(dp, p) for p in poles])
-
-
 def h2_distance(sys: ValidatedSystem, approx: TransferFunction,
                 tol: Tolerances | None = None) -> float:
     """||e/d - b/a||_2 via the merged partial fractions of both systems.
@@ -224,12 +219,17 @@ def h2_distance(sys: ValidatedSystem, approx: TransferFunction,
         for j in range(i + 1, len(a_poles)):
             if abs(a_poles[i] - a_poles[j]) < TOL.shared_pole * scale:
                 raise NumericalError("approximant has a repeated pole")
-    all_poles = np.concatenate([sys.poles, a_poles])
-    all_res = np.concatenate([
-        sys.e_at_poles / sys.dprime_at_poles,
-        -_residues(approx.numerator, approx.denominator, a_poles),
-    ])
-    sq = _pairing_norm_sq(all_res, all_poles)
+    return _merged_distance(sys, approx.numerator, approx.denominator, a_poles)
+
+
+def _merged_distance(sys: ValidatedSystem, b: Polynomial, a: Polynomial,
+                     a_poles: np.ndarray) -> float:
+    """||e/d - b/a||_2 from the residues of both systems at the roots a_poles
+    of a, which must be simple and stable (``h2_distance`` checks them)."""
+    da = derivative(a)
+    res = np.array([eval_poly(b, p) / eval_poly(da, p) for p in a_poles])
+    sq = _pairing_norm_sq(np.concatenate([sys.e_at_poles / sys.dprime_at_poles, -res]),
+                          np.concatenate([sys.poles, a_poles]))
     if abs(sq.imag) > TOL.distance_real * max(abs(sq.real), 1.0):
         raise NumericalError(f"H2 distance came out non-real: {sq}")
     return float(np.sqrt(max(sq.real, 0.0)))

@@ -28,6 +28,7 @@ multi-index is a length-N tuple of exponents.
 from __future__ import annotations
 
 import heapq
+import math
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
@@ -166,9 +167,10 @@ def elimination_solutions_n3(m: np.ndarray) -> List[np.ndarray]:
     """All solutions for N=3 via an exact lex Groebner basis.
 
     Coefficients are rationalized exactly (floats are dyadic rationals), so
-    the basis computation is exact; only the final univariate root find is
-    numeric. Generic systems land in shape position
-    [x1 - p1(x3), x2 - p2(x3), q(x3)].
+    the basis computation is exact; the univariate root find and the
+    back-substitution, which evaluates the exact terms of the basis at the
+    roots in complex floating point, are numeric. Generic systems land in
+    shape position [x1 - p1(x3), x2 - p2(x3), q(x3)].
     """
     import sympy as sp
 
@@ -186,21 +188,28 @@ def elimination_solutions_n3(m: np.ndarray) -> List[np.ndarray]:
     polys = list(gb.polys)
     uni = [p for p in polys if p.gens and set(p.free_symbols) <= {x3}]
     assert uni, "lex basis has no univariate element; system not generic"
-    q = sp.Poly(uni[-1].as_expr(), x3)
-    coeffs = np.array([complex(c) for c in q.all_coeffs()])
+
+    def coefficients(p, k, x):
+        """The coefficients of the basis element p, descending in x_k, at the
+        values x[i] of the variables solved for, summed from its exact terms."""
+        terms = p.terms()
+        cs = [0j] * (max(e[k] for e, _ in terms) + 1)
+        for e, c in terms:
+            assert all(e[i] == 0 or i in x for i in range(3) if i != k), \
+                "system not in shape position"
+            cs[-1 - e[k]] += complex(c) * math.prod(x[i] ** e[i] for i in x)
+        return np.array(cs)
+
     sols = []
-    for root in np.roots(coeffs):
+    for root in np.roots(coefficients(uni[-1], 2, {})):
         # back-substitute through the (triangular) remaining basis elements
-        vals = {x3: root}
-        for var in (x2, x1):
-            cand = [p for p in polys if var in p.free_symbols]
-            p = sp.Poly(cand[-1].as_expr(), var)
-            cs = [complex(sp.N(c.subs(vals))) for c in p.all_coeffs()]
-            rts = np.roots(np.array(cs))
+        x = {2: complex(root)}
+        for k in (1, 0):
+            cand = [p for p in polys if xs[k] in p.free_symbols]
+            rts = np.roots(coefficients(cand[-1], k, x))
             assert len(rts) == 1, "system not in shape position"
-            vals[var] = rts[0]
-        sols.append(_newton_polish(
-            m, np.array([vals[x1], vals[x2], vals[x3]], dtype=complex)))
+            x[k] = rts[0]
+        sols.append(_newton_polish(m, np.array([x[0], x[1], x[2]], dtype=complex)))
     return sols
 
 
@@ -259,6 +268,34 @@ def normal_form(f: Dict[MultiIndex, complex], sys, strategy: str = "max_degree")
                 add(tuple(e + 1 if k == j else e for k, e in enumerate(cofactor)),
                     c * sys.m[i, j])
     return out
+
+
+def monomial_normal_form(sys):
+    """The normal form of a single monomial modulo x_i^2 = m_i . x, as a
+    function of its multi-index, memoised for the one system ``sys``: a
+    monomial with an exponent >= 2 is rewritten at the first such x_i, as in
+    ``normal_form``, into sum_j m_ij x_j times its cofactor, and each
+    monomial that the rewrites reach is reduced once."""
+    n = sys.n_vars
+    memo: Dict[MultiIndex, np.ndarray] = {}
+
+    def nf(alpha: MultiIndex) -> np.ndarray:
+        out = memo.get(alpha)
+        if out is not None:
+            return out
+        out = np.zeros(1 << n, dtype=complex)
+        i = next((k for k, e in enumerate(alpha) if e >= 2), None)
+        if i is None:
+            out[sum(1 << k for k, e in enumerate(alpha) if e)] = 1.0
+        else:
+            for j in range(n):
+                if sys.m[i, j] != 0:
+                    out += sys.m[i, j] * nf(tuple(e - 2 * (k == i) + (k == j)
+                                                  for k, e in enumerate(alpha)))
+        memo[alpha] = out
+        return out
+
+    return nf
 
 
 def kept_matrices(sys):

@@ -237,7 +237,7 @@ class TestMainExitCodes:
                 if x.startswith("diagnostics:")][0]
         stages = line.split("stages: ")[1].split()
         assert [x.split("=")[0] for x in stages] == [
-            "build_M", "build_mult", "eigen", "cvm", "recover", "select"]
+            "build_M", "build_mult", "eigen", "recover", "cvm", "select"]
         assert all(x.endswith("ms") for x in stages)
 
     def test_unknown_flag(self):
@@ -284,6 +284,35 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "too ill-conditioned" in err
         assert "  build_m_residual: " in err
+
+
+    @pytest.mark.parametrize("argv, expect", [
+        (["--relaxation", "N=6", "alpha=0.40", "--method", "cvm", "--seed", "1"],
+         "too ill-conditioned"),
+        (["--relaxation", "N=5", "alpha=0.9", "--seed", "1"], "32 of 32 roots found"),
+        (None, "conjugation defect"),
+        (["--relaxation", "N=6", "alpha=0.8", "--method", "cvm", "--seed", "2"],
+         "do not match the pointwise criterion"),
+    ], ids=["build_M", "ledger", "conjugation", "cvm"])
+    def test_every_numerical_exit_prints_the_run(self, tmp_path, capsys, monkeypatch,
+                                                 argv, expect):
+        # whichever stage fails, the report names the seed, the method and
+        # the stage times of the run
+        if argv is None:
+            # complex poles whose conjugation the solve is not told
+            import h2reduce.reduce as reduce_mod
+            declared = reduce_mod.DiagQuadSystem
+            monkeypatch.setattr(reduce_mod, "DiagQuadSystem",
+                                lambda m, conj=None: declared(m))
+            argv = ["--input", write_system(tmp_path, "pair.txt", [1, 0.5, 1], [1, 2.5, 3, 2]),
+                    "--seed", "1"]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error (numerical): ") and expect in err
+        seed = argv[argv.index("--seed") + 1]
+        method = "cvm" if "cvm" in argv else "enum"
+        assert f"\n  seed: {seed}\n" in err and f"\n  method: {method}\n" in err
+        assert "\n  stage_s: {" in err
 
 
 class TestStructuredOutput:

@@ -5,7 +5,8 @@ checked against."""
 import numpy as np
 import pytest
 
-from oracles import basis_conj, expand, generator, kept_matrices, normal_form
+from oracles import (
+    basis_conj, expand, generator, kept_matrices, monomial_normal_form, normal_form)
 from h2reduce import BasisSizeError, DiagQuadSystem
 
 
@@ -114,6 +115,21 @@ class TestNormalForm:
         lhs = normal_form(fg, sys)
         rhs = normal_form(f, sys) + c * normal_form(g, sys)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * (1 + np.max(np.abs(rhs)))
+
+    def test_memoised_monomials(self):
+        # the memoised reduction of single monomials is normal_form's, to
+        # rounding: every x_i times a basis monomial, and monomials of
+        # higher degree whose rewrites share their intermediate monomials
+        rng = np.random.default_rng(17)
+        for n in (2, 3, 4):
+            sys = seeded_system(rng, n)
+            nf = monomial_normal_form(sys)
+            alphas = [tuple(int(e) for e in rng.integers(0, 4, size=n)) for _ in range(10)]
+            alphas += [tuple(((b >> k) & 1) + (k == i) for k in range(n))
+                       for i in range(n) for b in range(1 << n)]
+            for alpha in alphas:
+                want = normal_form({alpha: 1.0}, sys)
+                assert np.max(np.abs(nf(alpha) - want)) <= 1e-12 * (1 + np.max(np.abs(want)))
 
     def test_generators_reduce_to_zero(self):
         rng = np.random.default_rng(13)

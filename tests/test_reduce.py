@@ -34,6 +34,7 @@ from dataclasses import replace
 import h2reduce.foc as foc_mod
 import h2reduce.reduce as reduce_mod
 import h2reduce.stetter as stetter
+import h2reduce.tf as tf_mod
 from h2reduce.errors import H2ReduceError
 from h2reduce.foc import critical_values, criterion_weights
 from h2reduce.tolerances import TOL
@@ -350,10 +351,42 @@ class TestSolveReduction:
         d = solve_reduction(sys, method=method).diagnostics
         stages = ["build_M", "build_mult", "eigen", "recover", "select"]
         if method == "cvm":
-            stages.insert(3, "cvm")
+            stages.insert(4, "cvm")
         assert list(d["stage_s"]) == stages
         assert all(v >= 0 for v in d["stage_s"].values())
         assert sum(d["stage_s"].values()) == pytest.approx(d["elapsed_s"], rel=1e-9)
+
+    def test_cross_check_is_h2_distance(self, example1_system, example1_report):
+        # the cross-check reads the recovery's roots of each admissible a,
+        # real ones as float64 as np.roots returns them; its distances are
+        # h2_distance's bit for bit, for real-pole and complex-pair
+        # approximants alike
+        solves = [(example1_system, example1_report)]
+        rng = np.random.default_rng(3)
+        for n in (4, 5, 6, 4, 5):
+            sys = validate(random_stable_system(rng, n))
+            solves.append((sys, solve_reduction(sys)))
+        kinds = set()
+        for sys, rep in solves:
+            cross = rep.diagnostics["cross_check"]
+            assert len(cross) == len(rep.admissible)
+            for idx, cp in enumerate(rep.admissible):
+                kinds.add(bool(np.iscomplexobj(np.roots(cp.a.coeffs))))
+                dist = h2_distance(sys, TransferFunction(cp.b, cp.a))
+                assert cross[idx]["distance"].hex() == dist.hex()
+        assert kinds == {False, True}
+
+    @pytest.mark.parametrize("method", ["enum", "cvm"])
+    def test_solve_finds_no_root(self, monkeypatch, method):
+        sys = validate(random_stable_system(np.random.default_rng(3), 4))
+
+        def no_roots(*args):
+            raise AssertionError("a root finder was called")
+
+        monkeypatch.setattr(tf_mod, "roots", no_roots)
+        monkeypatch.setattr(np, "roots", no_roots)
+        rep = solve_reduction(sys, method=method)
+        assert len(rep.diagnostics["cross_check"]) == len(rep.admissible) > 0
 
     def test_cvm_mismatch_carries_diagnostics(self):
         # a generic N = 4 system: A_F's eigenvalues drift from the pointwise

@@ -19,6 +19,7 @@ from oracles import (
     loop_polish,
     loop_residual,
     match_solution_sets,
+    monomial_normal_form,
     normal_form,
     real_form,
     reference_multiplication_matrices,
@@ -460,10 +461,10 @@ class TestEigenKernelsAgainstLoops:
         bits = (np.arange(dim)[:, None] >> np.arange(n)) & 1
         xis = np.array(xis)
         basis = np.prod(np.where(bits == 1, xis[:, None, :], 1.0), axis=2)
+        nf_of = monomial_normal_form(sys)
         for i in range(n):
-            nf = np.array([
-                normal_form({tuple(int(e) + (k == i) for k, e in enumerate(bits[b])): 1.0}, sys)
-                for b in range(dim)])
+            nf = np.array([nf_of(tuple(int(e) + (k == i) for k, e in enumerate(bits[b])))
+                           for b in range(dim)])
             want = xis[:, i:i + 1] * basis
             scale = np.abs(basis) @ np.abs(nf).T + np.abs(want)
             err = np.abs(basis @ nf.T - want) / np.maximum(scale, 1e-300)

@@ -1,6 +1,7 @@
 """Every output bit of a fixed set of solves, as one JSON file.
 
     python3 tools/output_digest.py <src-dir> <out.json>
+    python3 tools/output_digest.py --compare <old.json> <new.json>
 
 ``<src-dir>`` is the directory that holds the ``h2reduce`` package to run
 (the ``src`` of a checkout). The summary line gives the number of runs,
@@ -13,7 +14,12 @@ with its parent by
 
 and the two sha256 on the summary lines (or ``cmp parent.json
 change.json``). Run both in the same environment (BLAS library and thread
-count), since the rounding of BLAS products can depend on it.
+count), since the rounding of BLAS products can depend on it. With
+``--compare`` the tool prints the exit codes of each file and every
+(run, seed) whose record differs, with the top-level fields that differ; a
+field that holds a dict also names its keys that only the old record has
+(``-key``), that only the new one has (``+key``) or that differ (``~key``).
+It exits 1 when some record differs.
 
 At eigen seeds 0 and 1 the digest runs
 - example 1 and the systems of ``perfbench.inputs.random_cycles(
@@ -39,6 +45,7 @@ import io
 import json
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -140,7 +147,52 @@ def cli_run(cli, case, seed: int) -> dict:
     return record
 
 
+def _exit_codes(records) -> dict:
+    return dict(sorted(Counter(rec["exit"] for rec in records).items()))
+
+
+def _differing(old: dict, new: dict) -> list:
+    """The top-level fields where two records differ."""
+    fields = []
+    for key in sorted(old.keys() | new.keys()):
+        a, b = old.get(key), new.get(key)
+        if a == b:
+            continue
+        if isinstance(a, dict) and isinstance(b, dict):
+            keys = ([f"-{k}" for k in sorted(a.keys() - b.keys())]
+                    + [f"+{k}" for k in sorted(b.keys() - a.keys())]
+                    + [f"~{k}" for k in sorted(a.keys() & b.keys()) if a[k] != b[k]])
+            key = f"{key} ({' '.join(keys)})"
+        fields.append(key)
+    return fields
+
+
+def compare(old_path: Path, new_path: Path) -> int:
+    runs = []
+    for path in (old_path, new_path):
+        records = json.loads(path.read_text())
+        print(f"{path}: {len(records)} runs, exit codes {_exit_codes(records)}")
+        runs.append({(rec["run"], rec["seed"]): rec for rec in records})
+    old, new = runs
+    differ = 0
+    for run, seed in sorted(old.keys() | new.keys()):
+        a, b = old.get((run, seed)), new.get((run, seed))
+        if a == b:
+            continue
+        differ += 1
+        if a is None or b is None:
+            fields = ["only in the " + ("new" if a is None else "old") + " file"]
+        else:
+            fields = _differing(a, b)
+        exits = "/".join(str(rec["exit"]) for rec in (a, b) if rec is not None)
+        print(f"{run} seed {seed} (exit {exits}): {', '.join(fields)}")
+    print(f"{differ} of {len(old.keys() | new.keys())} records differ")
+    return 1 if differ else 0
+
+
 def main(argv) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(Path(argv[1]), Path(argv[2]))
     if len(argv) != 2:
         print(__doc__.split("\n\n", 2)[1], file=sys.stderr)
         return 2
@@ -171,10 +223,7 @@ def main(argv) -> int:
                                 **cli_run(cli, case, seed)})
     text = (json.dumps(records, indent=1, sort_keys=True) + "\n").encode()
     dest.write_bytes(text)
-    codes = {}
-    for rec in records:
-        codes[rec["exit"]] = codes.get(rec["exit"], 0) + 1
-    print(f"{len(records)} runs, exit codes {dict(sorted(codes.items()))} -> {dest} "
+    print(f"{len(records)} runs, exit codes {_exit_codes(records)} -> {dest} "
           f"sha256 {hashlib.sha256(text).hexdigest()}")
     return 0
 
