@@ -2,12 +2,11 @@
 
 Pipeline: coupling matrix M -> diagonal-quadratic system x o x = M x ->
 a random combination T^T of its multiplication matrices, formed as they
-are filled -> simultaneous eigenvalue tuples -> the root ledger (all 2^N
-roots distinct, exactly one of them the zero root) -> candidate models and
-criterion values for all nonzero tuples in one batch -> the admissible
-candidate with the least real positive value, which is the global
-optimum. The wall time of each stage goes into the report's
-diagnostics as ``stage_s``.
+are filled -> simultaneous eigenvalue tuples, whose root ledger must be
+complete -> candidate models and criterion values for all nonzero tuples
+in one batch -> the admissible candidate with the least real positive
+value, which is the global optimum. The wall time of each stage, the one
+that failed included, goes into the diagnostics as ``stage_s``.
 """
 
 from __future__ import annotations
@@ -140,28 +139,15 @@ def solve_reduction(
 
         eig = common_eigen_solutions(comb)
         diagnostics["conjugation_defect"] = comb.conjugation_defect
-        dim = comb.system.dim
-        # the root ledger: the optimum is certified only if all 2^N roots are
-        # accounted for as distinct, accepted tuples, and x o x = M x has the
-        # simple root xi = 0, so exactly one of them may lie at zero; a
-        # second tuple there is a copy of it standing in for a root never found
-        xis = eig.xi
-        sizes = np.abs(xis).max(axis=1)
-        at_zero = sizes <= TOL.zero_solution * (1.0 + sizes.max(initial=0.0))
-        if len(xis) != dim or np.count_nonzero(at_zero) != 1:
-            ledger = {"found": len(xis), "rejected": len(eig.rejected_xi),
-                      "merged": int(eig.multiplicity_hint.sum()) - len(xis),
-                      "at_zero": int(np.count_nonzero(at_zero))}
+        if not eig.complete:
             raise DefectiveEigenstructureError(
-                f"{ledger['found']} of {dim} roots found "
-                f"({ledger['rejected']} eigenvectors rejected, {ledger['merged']} "
-                f"merged), {ledger['at_zero']} of them at the simple root xi = 0; "
-                "a missing root could hide a lower critical value",
-                diagnostics=ledger,
-            )
+                "{found} of {dim} roots found ({rejected} eigenvectors rejected, {merged} "
+                "merged), {at_zero} of them at the simple root xi = 0; a missing root could "
+                "hide a lower critical value".format(dim=comb.system.dim, **eig.ledger),
+                diagnostics=eig.ledger)
         t = _lap(stage_s, "eigen", t)
 
-        candidates, degenerate_q0 = recover_candidates(sys, xis[~at_zero])
+        candidates, degenerate_q0 = recover_candidates(sys, eig.xi[~eig.at_zero])
         t = _lap(stage_s, "recover", t)
 
         if method == "cvm":
@@ -218,9 +204,15 @@ def solve_reduction(
                 diagnostics={"n_candidates": len(candidates),
                              "rejections": candidates.rejections},
             )
+        diagnostics["ledger"] = eig.ledger
     except H2ReduceError as exc:
         # the one place where the run's diagnostics enter a typed failure,
-        # ahead of what the failing stage measured
+        # ahead of what the failing stage measured; the stage that raised is
+        # timed too, so the stages of every run sum to elapsed_s
+        running = next((s for s in ("build_M", "build_mult", "eigen", "recover", "cvm", "select")
+                        if s not in stage_s and (s != "cvm" or method == "cvm")), None)
+        if running is not None:
+            diagnostics["elapsed_s"] = _lap(stage_s, running, t) - t0
         exc.diagnostics = {**diagnostics, **exc.diagnostics}
         raise
     return ReductionReport(

@@ -25,8 +25,9 @@ zero rows. No substitution adds a constant term, so column 0 of every
 A_{X_i}^T is exactly zero: e_0, the evaluation vector of the root xi = 0,
 is an exact eigenvector of each. The matrices commute by construction,
 since the leading terms are coprime; a defective fill shows up as missing
-or spurious roots, which the root ledger of ``reduce.solve_reduction``
-turns into a numerical error.
+or spurious roots: the root ledger of ``EigenSolutionSet`` accounts for
+every one of the 2^N eigenvectors, and ``reduce.solve_reduction`` turns an
+incomplete ledger into a numerical error.
 
 The roots are read off the eigenvectors of T^T for a random combination
 T = sum c_i A_{X_i}: each is the evaluation vector (b_k(xi))_k of one root,
@@ -46,9 +47,7 @@ of U times them are formed. The 2^N tuples read off them are then handled
 as one array: all are Newton-polished together, one LAPACK solve per root
 and step on a stack of N x N Jacobians, with the arithmetic of a one-root
 loop; their residuals are row reductions; and the merge of near-equal roots
-tests only the pairs whose norms lie close enough, found by one sort. Every
-one of the 2^N eigenvectors is accounted for, as a root or as a rejection,
-so a caller can tell when roots are missing.
+tests only the pairs whose norms lie close enough, found by one sort.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from math import prod
-from typing import List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -193,17 +192,33 @@ class EigenSolution:
 
 @dataclass(frozen=True)
 class EigenSolutionSet:
-    """The roots of one read-off as arrays, one row per eigenvector kept, in
-    the order of the eigenvectors: the accepted roots, each the first of
-    the tuples merged into it, and the rejected tuples.
-    ``solutions`` and ``rejected`` give the same rows as ``EigenSolution``
-    objects, built on each read."""
+    """The roots of one read-off as arrays, in the order of the eigenvectors:
+    the accepted roots, each the first of the tuples merged into it, and the
+    rejected tuples; ``solutions`` and ``rejected`` build them as
+    ``EigenSolution`` objects on each read. ``ledger`` accounts for every
+    eigenvector, and the set is ``complete`` when all 2^N roots are distinct
+    accepted tuples and exactly one is at zero: x o x = M x has the simple
+    root xi = 0, so a second tuple there stands in for a lost root."""
 
     xi: np.ndarray                # (k, N) accepted roots
     residual: np.ndarray          # (k,) normwise residuals
     multiplicity_hint: np.ndarray  # (k,) tuples merged into each root
+    at_zero: np.ndarray           # (k,) bool: the root is xi = 0
     rejected_xi: np.ndarray       # (r, N) rejected tuples, multiplicity 1 each
     rejected_residual: np.ndarray  # (r,) their residuals; inf if not finite
+
+    @property
+    def ledger(self) -> Dict[str, int]:
+        found = len(self.xi)
+        return {"found": found, "rejected": len(self.rejected_xi),
+                "merged": int(self.multiplicity_hint.sum()) - found,
+                "at_zero": int(np.count_nonzero(self.at_zero))}
+
+    @property
+    def complete(self) -> bool:
+        # found + rejected + merged = 2^N: all are found when none is lost
+        ledger = self.ledger
+        return ledger["rejected"] == ledger["merged"] == 0 and ledger["at_zero"] == 1
 
     @property
     def solutions(self) -> List[EigenSolution]:
@@ -707,21 +722,17 @@ def common_eigen_solutions(comb: Combination) -> EigenSolutionSet:
     separates the roots, so every eigenvector of T^T is an evaluation
     vector and xi_i = u[2^i] / u[0].
 
-    The weights respect the system's conjugation, so conj(T) = P T P for the
-    permutation P of the basis monomials that it induces, and T^T is
-    similar to the real matrix R of ``comb``. A real ``eig`` of R gives the
-    eigenvectors w, and only the rows 0 and 2^i of u = U w are formed.
-    When R drops an imaginary part above ``TOL.conjugation``, relative to
-    max|R|, the matrices do not respect the declared conjugation and
-    ``ConjugationDefectError`` is raised.
+    The weights respect the system's conjugation, so T^T is similar to the
+    real matrix R of ``comb``, whose eigenvectors ``_read_off`` maps back;
+    when R drops an imaginary part above ``TOL.conjugation``, relative to
+    max|R|, it raises ``ConjugationDefectError``.
 
     The finite tuples are Newton-polished as one (2^N, N) array
     (``_polish``), bitwise as if one at a time. A tuple is rejected when it is
     not finite or its normwise residual (``_residual``) exceeds
     ``TOL.eig_residual``. Accepted tuples closer than ``TOL.merge`` are merged
-    (``_dedupe``). Every one of the 2^N eigenvectors ends up among the
-    accepted roots (counted by multiplicity_hint) or the rejected tuples,
-    each in the order of the eigenvectors.
+    (``_dedupe``). A root is at zero when its size is at most
+    ``TOL.zero_solution`` (1 + the largest root's size).
     """
     sys = comb.system
     q = _read_off(comb)
@@ -734,9 +745,11 @@ def common_eigen_solutions(comb: Combination) -> EigenSolutionSet:
     ok = residual <= TOL.eig_residual
     counts = _dedupe(xis[ok], TOL.merge)
     rep = counts > 0
-    return EigenSolutionSet(xi=xis[ok][rep], residual=residual[ok][rep],
-                            multiplicity_hint=counts[rep], rejected_xi=xis[~ok],
-                            rejected_residual=residual[~ok])
+    roots = xis[ok][rep]
+    sizes = np.abs(roots).max(axis=1)
+    return EigenSolutionSet(xi=roots, residual=residual[ok][rep], multiplicity_hint=counts[rep],
+                            at_zero=sizes <= TOL.zero_solution * (1.0 + sizes.max(initial=0.0)),
+                            rejected_xi=xis[~ok], rejected_residual=residual[~ok])
 
 
 def _read_off(comb: Combination):

@@ -26,7 +26,7 @@ class Tolerances:
     real: float = 1e-6                # max |Im coeff| / (1 + max |coeff|)
     ls_reject: float = 1e-6           # admissibility floor for the numerator
                                       # least-squares fit
-    # eigen layer
+    # eigen layer, read only by stetter
     eig_residual: float = 1e-7        # normwise root residual, stetter._residual
     zero_solution: float = 1e-9       # the one zero root: ||xi|| / (1 + max ||xi||)
     conjugation: float = 1e-10        # imaginary part dropped by the real form of

@@ -225,6 +225,40 @@ class TestSolveReduction:
         assert d["found"] != 2**6 or d["at_zero"] != 1
         assert d["conjugation_defect"] == 0.0       # real poles: T is real
         assert "n_candidates" not in d
+        # the error holds the items of the eigen layer's ledger, and beyond
+        # them only what the run measured
+        eig = common_eigen_solutions(combine(
+            DiagQuadSystem(build_M(sys), conj=sys.conj_perm), seed=1))
+        assert not eig.complete
+        assert {k: d[k] for k in eig.ledger} == eig.ledger
+        assert set(d) - set(eig.ledger) == {
+            "seed", "method", "stage_s", "conjugation_defect", "elapsed_s"}
+
+    def test_report_carries_the_ledger(self, example1_report):
+        # example 1 and the complex N = 5 system of the first random-mixed
+        # cycle, both exit 0 at eigen seed 0
+        case = next(c for c in perfbench_inputs()["random_cycles"](
+            np.random.default_rng(1), 1)[0] if c.label == "complex-n5")
+        mixed = solve_reduction(validate(TransferFunction(
+            Polynomial(list(case.num)), Polynomial(list(case.den)))))
+        for rep, n in ((example1_report, 9), (mixed, 5)):
+            ledger = rep.diagnostics["ledger"]
+            assert ledger["found"] == 2**n and ledger["at_zero"] == 1
+            assert ledger["found"] + ledger["merged"] + ledger["rejected"] == 2**n
+
+    @pytest.mark.parametrize("tf, seed, method, stage", [
+        (generate_relaxation(6, 0.40), 0, "enum", "build_M"),
+        (random_real_pole_system(np.random.default_rng(7), 6, lo=-6, hi=-0.5), 1, "cvm",
+         "eigen"),
+    ], ids=["build_M", "ledger"])
+    def test_failure_times_the_stage_that_raised(self, tf, seed, method, stage):
+        with pytest.raises(NumericalError) as exc:
+            solve_reduction(validate(tf), seed=seed, method=method)
+        d = exc.value.diagnostics
+        stages = ["build_M", "build_mult", "eigen"]
+        assert list(d["stage_s"]) == stages[:stages.index(stage) + 1]
+        assert all(v >= 0 for v in d["stage_s"].values())
+        assert sum(d["stage_s"].values()) == pytest.approx(d["elapsed_s"], rel=1e-9)
 
     @pytest.mark.parametrize("method", ["enum", "cvm"])
     @pytest.mark.parametrize("size", [1e-12, 1e-6, 1e-1])
@@ -262,12 +296,12 @@ class TestSolveReduction:
             assert rep.global_candidate.criterion.real == pytest.approx(phi, rel=1e-8)
 
     def test_extra_zero_tuples_fail_loudly(self):
-        # cond M = 5.6e8: at eigen seeds 1 and 5 the read-off returns 32
-        # distinct tuples, two of them at the simple root xi = 0, one copy
-        # standing in for a root never found; at seed 0 it finds 31 of 32.
-        # The ledger stops those solves (exit 4). Seed 2 finds all 32 and
-        # exits 0 with phi = 7.64e-8, and on every exit 0 each of the 31
-        # nonzero roots yields a candidate or a degenerate q0
+        # cond M = 5.6e8: at eigen seeds 0 and 2 the read-off returns 32
+        # distinct tuples, three of them at the simple root xi = 0, copies
+        # standing in for roots never found; at seeds 1, 3 and 4 it finds 30
+        # or 31 of 32. The ledger stops those solves (exit 4). Seed 5 finds
+        # all 32 and exits 0 with phi = 7.64e-8, and on every exit 0 each of
+        # the 31 nonzero roots yields a candidate or a degenerate q0
         sys = validate(random_real_pole_system(
             np.random.default_rng(8), 5, lo=-6, hi=-0.5))
         for seed in range(6):

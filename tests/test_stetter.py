@@ -679,6 +679,28 @@ class TestEigenSolutionArrays:
         assert len(eig.rejected_xi) > 0 and np.any(eig.multiplicity_hint > 1)
         self.assert_views_match(eig, 64)
 
+    @pytest.mark.parametrize("rng, n, seed, complete", [
+        (None, 9, 0, True),     # example 1
+        (7, 6, 2, False),       # roots rejected and merged
+        (8, 5, 0, False),       # 32 distinct tuples, three of them at zero
+    ], ids=["example1", "short", "two-at-zero"])
+    def test_ledger(self, example1_matrices, rng, n, seed, complete):
+        sys = example1_matrices.system if rng is None else pole_system(validate(
+            random_real_pole_system(np.random.default_rng(rng), n, lo=-6, hi=-0.5)))
+        eig = common_eigen_solutions(combine(sys, seed=seed))
+        ledger = eig.ledger
+        assert list(ledger) == ["found", "rejected", "merged", "at_zero"]
+        assert all(type(v) is int for v in ledger.values())
+        assert ledger["found"] + ledger["rejected"] + ledger["merged"] == 2**n
+        assert eig.at_zero.dtype == bool and eig.at_zero.shape == (ledger["found"],)
+        sizes = np.abs(eig.xi).max(axis=1)
+        assert sizes[eig.at_zero].max(initial=0.0) <= TOL.zero_solution * (1 + sizes.max())
+        assert sizes[~eig.at_zero].min() > TOL.zero_solution * (1 + sizes.max())
+        assert eig.complete is complete
+        assert complete == (ledger["found"] == 2**n and ledger["at_zero"] == 1)
+        if rng == 8:
+            assert ledger["found"] == 2**n and ledger["at_zero"] == 3
+
 
 class TestEvaluatePolyAtMatrices:
     def test_scalar_consistency(self):
