@@ -16,13 +16,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import (
-    H2ReduceError,
-    InputError,
-    NoAdmissibleSolutionError,
-    NumericalError,
-    ValidationError,
-)
+from .errors import H2ReduceError, InputError
 from .foc import CandidateTable
 from .poly import Polynomial
 from .reduce import ReductionReport, solve_reduction
@@ -70,8 +64,15 @@ def _parse_complex_pairs(text: str) -> np.ndarray:
     return _finite(np.array(out), text)
 
 
-def parse_system_file(path: str) -> TransferFunction:
-    """Coefficient form (numerator/denominator, descending) or pole-residue form."""
+def _check_order(order: int, cap: int) -> None:
+    if order > cap:
+        raise InputError(f"system order {order} exceeds --cap {cap}")
+
+
+def parse_system_file(path: str, cap: int = N_CAP) -> TransferFunction:
+    """Coefficient form (numerator/denominator, descending) or pole-residue
+    form, each field once; an order above ``cap`` is rejected before the
+    poles are expanded."""
     fields = {}
     try:
         with open(path) as fh:
@@ -85,7 +86,12 @@ def parse_system_file(path: str) -> TransferFunction:
                         break
                 else:
                     raise InputError(f"unparseable line in {path}: {raw.rstrip()!r}")
-                fields[key.strip().lower()] = val.strip()
+                key = key.strip().lower()
+                if key not in ("numerator", "denominator", "poles", "residues"):
+                    raise InputError(f"unknown field in {path}: {raw.rstrip()!r}")
+                if key in fields:
+                    raise InputError(f"repeated field in {path}: {raw.rstrip()!r}")
+                fields[key] = val.strip()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
@@ -96,17 +102,18 @@ def parse_system_file(path: str) -> TransferFunction:
     if has_coeff:
         if "numerator" not in fields or "denominator" not in fields:
             raise InputError("coefficient form needs both 'numerator' and 'denominator'")
-        return TransferFunction(
+        tf = TransferFunction(
             Polynomial(_parse_floats(fields["numerator"])),
             Polynomial(_parse_floats(fields["denominator"])),
         )
+        _check_order(tf.denominator.degree, cap)
+        return tf
     if has_pr:
         if "poles" not in fields or "residues" not in fields:
             raise InputError("pole-residue form needs both 'poles' and 'residues'")
-        return from_pole_residue(
-            _parse_complex_pairs(fields["poles"]),
-            _parse_complex_pairs(fields["residues"]),
-        )
+        poles = _parse_complex_pairs(fields["poles"])
+        _check_order(len(poles), cap)
+        return from_pole_residue(poles, _parse_complex_pairs(fields["residues"]))
     raise InputError(f"{path} contains neither coefficient nor pole-residue fields")
 
 
@@ -255,39 +262,21 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         if args.relaxation is not None:
             n, alpha = _parse_relaxation_tokens(args.relaxation)
+            _check_order(n, args.cap)
             tf = generate_relaxation(n, alpha)
         else:
-            tf = parse_system_file(args.input)
+            tf = parse_system_file(args.input, args.cap)
 
         if args.strip_feedthrough and tf.numerator.degree >= tf.denominator.degree:
             tf = strip_feedthrough(tf.numerator, tf.denominator)
-        if tf.denominator.degree > args.cap:
-            raise InputError(
-                f"system order {tf.denominator.degree} exceeds --cap {args.cap}"
-            )
 
         sys_v = validate(tf)
         report = solve_reduction(sys_v, seed=args.seed, method=args.method)
-    except InputError as exc:
-        print(f"error (input): {exc}", file=sys.stderr)
-        return 1
-    except NoAdmissibleSolutionError as exc:
-        print(f"error (no admissible critical point): {exc}", file=sys.stderr)
-        for key in ("n_candidates", "rejections"):
-            if key in exc.diagnostics:
-                print(f"  {key}: {exc.diagnostics[key]}", file=sys.stderr)
-        return 2
-    except ValidationError as exc:
-        print(f"error (validation): {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"error (numerical): {exc}", file=sys.stderr)
-        for key, value in exc.diagnostics.items():
-            print(f"  {key}: {value}", file=sys.stderr)
-        return 4
     except H2ReduceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        print(f"error ({exc.label}): {exc}" if exc.label else f"error: {exc}", file=sys.stderr)
+        for key, value in exc.diagnostics.items():
+            print(f"  {key}: " + str(value).replace("\n", ""), file=sys.stderr)
+        return exc.exit_code
 
     if args.output == "structured":
         print(_structured_report(report))

@@ -1,7 +1,8 @@
 """Exception hierarchy.
 
-The CLI maps these onto exit codes: InputError -> 1,
-NoAdmissibleSolutionError -> 2, ValidationError -> 3, NumericalError -> 4.
+Each class carries the exit code and the stderr label that ``cli.main``
+reports it with, as ``exit_code`` and ``label``: these class attributes are
+the one map from an error to its exit code.
 """
 
 
@@ -11,6 +12,8 @@ class H2ReduceError(Exception):
     ``diagnostics`` holds what the failing stage measured, for the report.
     """
 
+    exit_code, label = 4, None
+
     def __init__(self, message, diagnostics=None):
         self.diagnostics = diagnostics or {}
         super().__init__(message)
@@ -18,10 +21,12 @@ class H2ReduceError(Exception):
 
 class InputError(H2ReduceError):
     """Malformed user input (bad file, bad flag combination)."""
+    exit_code, label = 1, "input"
 
 
 class ValidationError(H2ReduceError):
     """The given transfer function violates a standing assumption."""
+    exit_code, label = 3, "validation"
 
 
 class NotStrictlyProperError(ValidationError):
@@ -54,6 +59,7 @@ class PoleZeroCancellationError(ValidationError):
 
 class NumericalError(H2ReduceError):
     """A numerical check failed; the result would not be trustworthy."""
+    label = "numerical"
 
 
 class IllConditionedError(NumericalError):
@@ -71,6 +77,7 @@ class DefectiveEigenstructureError(NumericalError):
 
 class NoAdmissibleSolutionError(H2ReduceError):
     """Every critical-point candidate was rejected."""
+    exit_code, label = 2, "no admissible critical point"
 
 
 class BasisSizeError(H2ReduceError):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
@@ -97,11 +98,17 @@ def _match_critical_values(vals: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return vals[nearest].astype(complex, copy=False)
 
 
-def _lap(stage_s: Dict[str, float], name: str, start: float) -> float:
-    """Record the wall time since ``start`` as stage ``name``; return now."""
-    now = time.perf_counter()
-    stage_s[name] = now - start
-    return now
+@contextmanager
+def _stage(diagnostics: Dict[str, object], name: str):
+    """Time the block as stage ``name`` of the run, also when it raises, and
+    keep ``elapsed_s`` the sum of the stages so far."""
+    stage_s = diagnostics["stage_s"]
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        stage_s[name] = time.perf_counter() - start
+        diagnostics["elapsed_s"] = sum(stage_s.values())
 
 
 def solve_reduction(
@@ -125,94 +132,88 @@ def solve_reduction(
     if sys.n < 2:
         raise InputError(
             f"reduction by one needs a system of order >= 2, got order {sys.n}")
-    stage_s: Dict[str, float] = {}
-    diagnostics: Dict[str, object] = {"seed": seed, "method": method, "stage_s": stage_s}
-    t0 = t = time.perf_counter()
+    if seed < 0:
+        raise InputError(f"the eigen seed must be non-negative, got {seed}")
+    diagnostics: Dict[str, object] = {"seed": seed, "method": method, "stage_s": {}}
     try:
-        m = build_M(sys)
-        t = _lap(stage_s, "build_M", t)
-        # one fill gives the real form of T^T for the eigen stage, and keeps
-        # the matrices only for the critical-value matrix
-        comb = combine(DiagQuadSystem(m, conj=sys.conj_perm), seed=seed,
-                       keep_matrices=method == "cvm")
-        t = _lap(stage_s, "build_mult", t)
-
-        eig = common_eigen_solutions(comb)
+        with _stage(diagnostics, "build_M"):
+            m = build_M(sys)
+        with _stage(diagnostics, "build_mult"):
+            # one fill gives the real form of T^T for the eigen stage, and
+            # keeps the matrices only for the critical-value matrix
+            comb = combine(DiagQuadSystem(m, conj=sys.conj_perm), seed=seed,
+                           keep_matrices=method == "cvm")
         diagnostics["conjugation_defect"] = comb.conjugation_defect
-        if not eig.complete:
-            raise DefectiveEigenstructureError(
-                "{found} of {dim} roots found ({rejected} eigenvectors rejected, {merged} "
-                "merged), {at_zero} of them at the simple root xi = 0; a missing root could "
-                "hide a lower critical value".format(dim=comb.system.dim, **eig.ledger),
-                diagnostics=eig.ledger)
-        t = _lap(stage_s, "eigen", t)
 
-        candidates, degenerate_q0 = recover_candidates(sys, eig.xi[~eig.at_zero])
-        t = _lap(stage_s, "recover", t)
+        with _stage(diagnostics, "eigen"):
+            eig = common_eigen_solutions(comb)
+            if not eig.complete:
+                raise DefectiveEigenstructureError(
+                    "{found} of {dim} roots found ({rejected} eigenvectors rejected, {merged} "
+                    "merged), {at_zero} of them at the simple root xi = 0; a missing root "
+                    "could hide a lower critical value".format(dim=comb.system.dim, **eig.ledger),
+                    diagnostics=eig.ledger)
+        diagnostics["ledger"] = eig.ledger
 
-        if method == "cvm":
-            a_f = build_critical_value_matrix(comb.matrices, criterion_weights(sys))
-            bad = int(np.count_nonzero(~np.isfinite(a_f)))
-            if bad:
-                raise NumericalError(
-                    f"{bad} entries of the critical-value matrix are not finite: "
-                    "the input scale overflows it (rescale the input)",
-                    diagnostics={"nonfinite_entries": bad},
-                )
-            vals = np.linalg.eigvals(a_f)
-            candidates = replace(candidates, phi=_match_critical_values(vals, candidates.phi))
-            diagnostics["cvm_eigenvalues"] = vals
-            t = _lap(stage_s, "cvm", t)
+        with _stage(diagnostics, "recover"):
+            candidates, degenerate_q0 = recover_candidates(sys, eig.xi[~eig.at_zero])
         diagnostics["degenerate_q0_rejections"] = degenerate_q0
 
-        # objects only for the admissible candidates; the rest stay rows of
-        # the table until a caller reads them
-        rows = [i for i, rejection in enumerate(candidates.rejections) if rejection is None]
-        admissible = [candidates[i] for i in rows]
-        # a phi that is not finite (xi^3 overflowed) cannot be ranked, and
-        # skipping it could hide the optimum
-        nonfinite = int(np.count_nonzero(~np.isfinite(candidates.phi[rows])))
-        if nonfinite:
-            raise NumericalError(
-                f"{nonfinite} admissible candidates have a criterion value that "
-                "is not finite: the input scale overflows it (rescale the input)",
-                diagnostics={"nonfinite_criteria": nonfinite},
-            )
-        norm = h2_norm(sys)
+        if method == "cvm":
+            with _stage(diagnostics, "cvm"):
+                a_f = build_critical_value_matrix(comb.matrices, criterion_weights(sys))
+                bad = int(np.count_nonzero(~np.isfinite(a_f)))
+                if bad:
+                    raise NumericalError(
+                        f"{bad} entries of the critical-value matrix are not finite: "
+                        "the input scale overflows it (rescale the input)",
+                        diagnostics={"nonfinite_entries": bad},
+                    )
+                vals = np.linalg.eigvals(a_f)
+                candidates = replace(candidates,
+                                     phi=_match_critical_values(vals, candidates.phi))
+            diagnostics["cvm_eigenvalues"] = vals
 
-        best = select_global(admissible)
-        cross = {}
-        for idx, (i, cp) in enumerate(zip(rows, admissible)):
-            # the roots of a from the recovery, real when all of them are (as
-            # np.roots gives them), so the distance is h2_distance's
-            poles = candidates.poles[i]
-            if not poles.imag.any():
-                poles = poles.real
-            dist = _merged_distance(sys, cp.b, cp.a, poles)
-            gap = abs(cp.criterion.real - dist**2)
-            cross[idx] = {"distance": dist, "gap": gap,
-                          "flagged": not gap <= TOL.cross_check * (1.0 + cp.criterion.real)}
-        diagnostics["cross_check"] = cross
-        levels = _critical_levels(candidates.phi)
-        t = _lap(stage_s, "select", t)
-        diagnostics["elapsed_s"] = t - t0
-
-        if best is None:
-            raise NoAdmissibleSolutionError(
-                "no admissible critical point found: every candidate was "
-                "complex, non-Hurwitz, or rejected",
-                diagnostics={"n_candidates": len(candidates),
-                             "rejections": candidates.rejections},
-            )
-        diagnostics["ledger"] = eig.ledger
+        with _stage(diagnostics, "select"):
+            # objects only for the admissible candidates; the rest stay rows
+            # of the table until a caller reads them
+            rows = [i for i, rejection in enumerate(candidates.rejections) if rejection is None]
+            admissible = [candidates[i] for i in rows]
+            # a phi that is not finite (xi^3 overflowed), not real or not
+            # positive cannot be ranked, and skipping it could hide the optimum
+            unrankable = sum(not _is_real_positive(cp.criterion) for cp in admissible)
+            if unrankable:
+                raise NumericalError(
+                    f"{unrankable} admissible candidates have a criterion value that is "
+                    "not finite, real and positive, so it cannot be ranked (an input "
+                    "scale that overflows it, or a value lost to rounding)",
+                    diagnostics={"unrankable_criteria": unrankable},
+                )
+            norm = h2_norm(sys)
+            best = select_global(admissible)
+            cross = {}
+            for idx, (i, cp) in enumerate(zip(rows, admissible)):
+                # the roots of a from the recovery, real when all of them are
+                # (as np.roots gives them), so the distance is h2_distance's
+                poles = candidates.poles[i]
+                if not poles.imag.any():
+                    poles = poles.real
+                dist = _merged_distance(sys, cp.b, cp.a, poles)
+                gap = abs(cp.criterion.real - dist**2)
+                cross[idx] = {"distance": dist, "gap": gap,
+                              "flagged": not gap <= TOL.cross_check * (1.0 + cp.criterion.real)}
+            diagnostics["cross_check"] = cross
+            levels = _critical_levels(candidates.phi)
+            if best is None:
+                raise NoAdmissibleSolutionError(
+                    "no admissible critical point found: every candidate was "
+                    "complex, non-Hurwitz, or rejected",
+                    diagnostics={"n_candidates": len(candidates),
+                                 "rejections": candidates.rejections},
+                )
     except H2ReduceError as exc:
         # the one place where the run's diagnostics enter a typed failure,
-        # ahead of what the failing stage measured; the stage that raised is
-        # timed too, so the stages of every run sum to elapsed_s
-        running = next((s for s in ("build_M", "build_mult", "eigen", "recover", "cvm", "select")
-                        if s not in stage_s and (s != "cvm" or method == "cvm")), None)
-        if running is not None:
-            diagnostics["elapsed_s"] = _lap(stage_s, running, t) - t0
+        # ahead of what the failing stage measured
         exc.diagnostics = {**diagnostics, **exc.diagnostics}
         raise
     return ReductionReport(

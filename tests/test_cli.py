@@ -91,6 +91,19 @@ class TestInputParsing:
         with pytest.raises(InputError):
             parse_system_file(str(f))
 
+    @pytest.mark.parametrize("text, line", [
+        ("numerator = 1 3\ndenominator = 1 3 2\nnumerator = 5 7\n", "repeated field"),
+        ("numerator = 1 3\ndenominator = 1 3 2\ngain = 7\n", "unknown field"),
+    ], ids=["repeated", "unknown"])
+    def test_each_known_field_once(self, tmp_path, text, line):
+        # a second numerator line would replace the first, an unknown one
+        # would be ignored: either way the file is not the system it states
+        f = tmp_path / "sys.txt"
+        f.write_text(text)
+        with pytest.raises(InputError, match=line) as exc:
+            parse_system_file(str(f))
+        assert repr(text.splitlines()[-1]) in str(exc.value)
+
 
 def write_system(tmp_path, name, num, den):
     f = tmp_path / name
@@ -188,7 +201,7 @@ class TestMainExitCodes:
         assert main(["--input", path]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error (numerical): ") and "not finite" in err
-        assert "  nonfinite_criteria: 1\n" in err
+        assert "  unrankable_criteria: 1\n" in err
         assert "Traceback" not in err
 
     # _norms squares the ~1e85 entries of the Newton iterates
@@ -210,6 +223,46 @@ class TestMainExitCodes:
         assert main(["--input", path]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error (validation): ") and "numerator" in err
+
+    def test_negative_seed_exits_1(self, capsys):
+        assert main(["--relaxation", "N=4", "alpha=0.5", "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error (input): ") and "seed" in err
+        assert "Traceback" not in err
+
+    def test_cap_precedes_expansion(self, tmp_path, capsys, monkeypatch):
+        # an oversized order is rejected as parsed, before the O(N^3)
+        # expansion of its poles
+        import h2reduce.cli as cli_mod
+
+        def no_expansion(*args):
+            raise AssertionError("the poles were expanded")
+
+        monkeypatch.setattr(cli_mod, "generate_relaxation", no_expansion)
+        monkeypatch.setattr(cli_mod, "from_pole_residue", no_expansion)
+        f = tmp_path / "big.txt"
+        f.write_text("poles = " + " ".join(f"{-1 - k},0" for k in range(1000))
+                     + "\nresidues = " + " ".join(["1,0"] * 1000) + "\n")
+        for argv in (["--relaxation", "N=1000", "alpha=0.99"],
+                     ["--relaxation", "N=4000", "alpha=0.99", "--cap", "14"],
+                     ["--input", str(f)]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error (input): system order ") and "exceeds --cap" in err
+
+    def test_no_admissible_exit_prints_the_run(self, tmp_path, capsys, monkeypatch):
+        # a realness tolerance of zero rejects every candidate after the
+        # eigen stage: exit 2 prints the run's diagnostics with its ledger
+        import h2reduce.foc as foc_mod
+        from dataclasses import replace
+        monkeypatch.setattr(foc_mod, "TOL", replace(foc_mod.TOL, real=0.0))
+        path = write_system(tmp_path, "pair.txt", [1, 0.5, 1], [1, 2.5, 3, 2])
+        assert main(["--input", path, "--seed", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error (no admissible critical point): ")
+        for line in ("  seed: 3\n", "  ledger: {", "  stage_s: {", "  n_candidates: ",
+                     "  rejections: ["):
+            assert line in err
 
     def test_first_order_input_exits_1(self, capsys):
         assert main(["--relaxation", "N=1", "alpha=0.5"]) == 1
@@ -263,10 +316,13 @@ class TestMainExitCodes:
         "numerator = 1\ndenominator = 0\n",
         "numerator = 1\ndenominator = 0 0 0\n",
         "numerator =\ndenominator = 1 2\n",
+        "numerator = 1 3\ndenominator = 1 3 2\nnumerator = 5 7\n",
+        "numerator = 1 3\ndenominator = 1 3 2\ngain = 7\n",
         "alpha=nan", "alpha=inf", "alpha=-inf", "alpha=1e200",
     ])
     def test_malformed_numbers_exit_1(self, tmp_path, capsys, text):
-        # non-finite, missing or overflowing numbers, and a zero denominator
+        # non-finite, missing or overflowing numbers, a zero denominator, and
+        # a file field given twice or not known
         if text.startswith("alpha="):
             argv = ["--relaxation", "N=4", text]
         else:

@@ -352,7 +352,28 @@ class TestSolveReduction:
         monkeypatch.setattr(foc_mod, "TOL", replace(TOL, real=0.0))
         with pytest.raises(NoAdmissibleSolutionError) as exc:
             solve_reduction(validate(tf))
-        assert "rejections" in exc.value.diagnostics
+        d = exc.value.diagnostics
+        assert "rejections" in d
+        # exit 2 comes after the eigen stage: the error carries the ledger,
+        # and its stage times end at select and sum to elapsed_s
+        assert d["ledger"] == {"found": 8, "rejected": 0, "merged": 0, "at_zero": 1}
+        assert list(d["stage_s"]) == ["build_M", "build_mult", "eigen", "recover", "select"]
+        assert sum(d["stage_s"].values()) == pytest.approx(d["elapsed_s"], rel=1e-9)
+
+    def test_unrankable_criterion_is_numerical(self):
+        # the enum solve ranks its one admissible candidate at phi = 1.97e-10;
+        # cvm puts the nearest eigenvalue of A_F there, about 0, which no
+        # ranking can place. That is a numerical failure, not exit 2
+        sys = validate(generate_relaxation(4, 0.85))
+        phi = [cp.criterion for cp in solve_reduction(sys).admissible]
+        assert len(phi) == 1 and 0 < phi[0].real < 1e-9
+        with pytest.raises(NumericalError, match="cannot be ranked") as exc:
+            solve_reduction(sys, method="cvm")
+        d = exc.value.diagnostics
+        assert d["unrankable_criteria"] == 1
+        assert d["ledger"] == {"found": 16, "rejected": 0, "merged": 0, "at_zero": 1}
+        assert d["degenerate_q0_rejections"] == 0
+        assert list(d["stage_s"])[-2:] == ["cvm", "select"]
 
     def test_unknown_method(self):
         rng = np.random.default_rng(34)
@@ -378,6 +399,14 @@ class TestSolveReduction:
         sys = validate(TransferFunction(Polynomial([4.0]), Polynomial([1.0, 1.0])))
         with pytest.raises(InputError, match="order >= 2"):
             solve_reduction(sys)
+
+    def test_negative_seed_rejected_before_build(self, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("build_M reached")
+        monkeypatch.setattr(reduce_mod, "build_M", no_build)
+        sys = validate(random_real_pole_system(np.random.default_rng(35), 3))
+        with pytest.raises(InputError, match="seed"):
+            solve_reduction(sys, seed=-1)
 
     @pytest.mark.parametrize("method", ["enum", "cvm"])
     def test_stage_timings(self, method):
