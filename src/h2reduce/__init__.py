@@ -25,7 +25,7 @@ from .errors import (
 )
 from .foc import CandidateTable, CriticalPoint, build_M, recover_candidates
 from .poly import Polynomial, derivative, eval_poly, roots
-from .reduce import ReductionReport, select_global, solve_reduction
+from .reduce import ReductionReport, solve_reduction
 from .stetter import (
     Combination,
     DiagQuadSystem,
@@ -88,7 +88,6 @@ __all__ = [
     "h2_norm",
     "recover_candidates",
     "roots",
-    "select_global",
     "solve_reduction",
     "strip_feedthrough",
     "validate",

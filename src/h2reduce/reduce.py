@@ -11,11 +11,10 @@ that failed included, goes into the diagnostics as ``stage_s``.
 
 from __future__ import annotations
 
-import cmath
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -24,12 +23,8 @@ from .errors import (DefectiveEigenstructureError, H2ReduceError, InputError,
 from .foc import CandidateTable, CriticalPoint, build_M, criterion_weights, recover_candidates
 from .stetter import (DiagQuadSystem, _dedupe, build_critical_value_matrix, combine,
                       common_eigen_solutions)
-# the solve calls no h2_distance; the benchmark's trace spans look it up here
-from .tf import ValidatedSystem, _merged_distance, h2_distance, h2_norm  # noqa: F401
+from .tf import ValidatedSystem, _merged_distance, h2_norm
 from .tolerances import TOL
-
-# entries of one block of the candidates-by-eigenvalues distance matrix
-_MATCH_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -47,32 +42,18 @@ class ReductionReport:
         return self.global_error / self.system_norm
 
 
-def _is_real_positive(v: complex) -> bool:
-    """Whether v is finite, real within TOL.value_real, and positive; an
-    overflowed value is no level (inf <= 1e-6 (1 + inf) would pass)."""
-    return cmath.isfinite(v) and abs(v.imag) <= TOL.value_real * (1.0 + abs(v)) and v.real > 0
+def _rankable(phi: np.ndarray) -> np.ndarray:
+    """Which phi can be ranked: finite (inf <= 1e-6 (1 + inf) would pass), real
+    within TOL.value_real and positive; |phi| is libm's hypot, as in abs()."""
+    return (np.isfinite(phi) & (phi.real > 0)
+            & (np.abs(phi.imag) <= TOL.value_real * (1.0 + np.hypot(phi.real, phi.imag))))
 
 
-def _critical_levels(phi: np.ndarray) -> List[float]:
-    """Distinct real positive values among the criterion values phi, in
-    increasing order: the representatives of their greedy clustering in the
-    order of phi (``_dedupe`` at TOL.value_cluster)."""
-    levels = np.array([v.real for v in phi.tolist() if _is_real_positive(v)])
+def _critical_levels(levels: np.ndarray) -> List[float]:
+    """Distinct values among the levels, in increasing order: the representatives
+    of their greedy clustering in the order given (``_dedupe`` at TOL.value_cluster)."""
     counts = _dedupe(levels[:, None], TOL.value_cluster)
     return np.sort(levels[counts > 0]).tolist()
-
-
-def select_global(candidates: Sequence[CriticalPoint]) -> Optional[CriticalPoint]:
-    """The admissible candidate with the least real positive criterion value.
-
-    Admissible candidates are real, stable critical points, where phi is the
-    squared H2 error, so the least of their values is the global minimum.
-    """
-    return min(
-        (cp for cp in candidates if cp.is_admissible and _is_real_positive(cp.criterion)),
-        key=lambda cp: cp.criterion.real,
-        default=None,
-    )
 
 
 def _match_critical_values(vals: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -81,10 +62,8 @@ def _match_critical_values(vals: np.ndarray, phi: np.ndarray) -> np.ndarray:
     Raises a NumericalError, carrying the mismatch, when any of them lies
     further than TOL.cvm_gap (relative) from its value.
     """
-    rows = max(1, _MATCH_BLOCK // len(vals))
-    nearest = np.empty(len(phi), dtype=np.intp)
-    for i in range(0, len(phi), rows):
-        nearest[i:i + rows] = np.argmin(np.abs(vals - phi[i:i + rows, None]), axis=1)
+    # k candidates against D > k eigenvalues: no larger than A_F itself
+    nearest = np.argmin(np.abs(vals - phi[:, None]), axis=1)
     gap = np.abs(vals[nearest] - phi) / (1.0 + np.abs(phi))
     bad = np.flatnonzero(gap > TOL.cvm_gap)
     if bad.size:
@@ -172,16 +151,17 @@ def solve_reduction(
                 vals = np.linalg.eigvals(a_f)
                 candidates = replace(candidates,
                                      phi=_match_critical_values(vals, candidates.phi))
-            diagnostics["cvm_eigenvalues"] = vals
 
         with _stage(diagnostics, "select"):
             # objects only for the admissible candidates; the rest stay rows
             # of the table until a caller reads them
             rows = [i for i, rejection in enumerate(candidates.rejections) if rejection is None]
             admissible = [candidates[i] for i in rows]
+            phi = candidates.phi
+            rankable = _rankable(phi)
             # a phi that is not finite (xi^3 overflowed), not real or not
             # positive cannot be ranked, and skipping it could hide the optimum
-            unrankable = sum(not _is_real_positive(cp.criterion) for cp in admissible)
+            unrankable = len(rows) - int(np.count_nonzero(rankable[rows]))
             if unrankable:
                 raise NumericalError(
                     f"{unrankable} admissible candidates have a criterion value that is "
@@ -190,7 +170,6 @@ def solve_reduction(
                     diagnostics={"unrankable_criteria": unrankable},
                 )
             norm = h2_norm(sys)
-            best = select_global(admissible)
             cross = {}
             for idx, (i, cp) in enumerate(zip(rows, admissible)):
                 # the roots of a from the recovery, real when all of them are
@@ -203,14 +182,18 @@ def solve_reduction(
                 cross[idx] = {"distance": dist, "gap": gap,
                               "flagged": not gap <= TOL.cross_check * (1.0 + cp.criterion.real)}
             diagnostics["cross_check"] = cross
-            levels = _critical_levels(candidates.phi)
-            if best is None:
+            levels = _critical_levels(phi.real[rankable])
+            if not rows:
                 raise NoAdmissibleSolutionError(
                     "no admissible critical point found: every candidate was "
                     "complex, non-Hurwitz, or rejected",
-                    diagnostics={"n_candidates": len(candidates),
-                                 "rejections": candidates.rejections},
+                    diagnostics={"n_candidates": len(candidates), "rejections": {
+                        reason: candidates.rejections.count(reason)
+                        for reason in ("complex", "non-hurwitz", "high-residual")}},
                 )
+            # phi is the squared H2 error at real, stable critical points: the
+            # least is the global minimum (argmin takes the first, as min() does)
+            best = candidates[rows[int(np.argmin(phi.real[rows]))]]
     except H2ReduceError as exc:
         # the one place where the run's diagnostics enter a typed failure,
         # ahead of what the failing stage measured

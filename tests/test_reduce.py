@@ -9,8 +9,8 @@ import pytest
 from conftest import random_real_pole_system, random_stable_system
 from oracles import kept_matrices, loop_critical_levels
 from h2reduce import (
+    CandidateTable,
     ConjugationDefectError,
-    CriticalPoint,
     DefectiveEigenstructureError,
     DiagQuadSystem,
     InputError,
@@ -25,7 +25,6 @@ from h2reduce import (
     generate_relaxation,
     h2_distance,
     recover_candidates,
-    select_global,
     solve_reduction,
     validate,
 )
@@ -40,18 +39,24 @@ from h2reduce.foc import critical_values, criterion_weights
 from h2reduce.tolerances import TOL
 
 
-def make_candidate(phi, real=True, hurwitz=True):
-    """Synthetic candidate for exercising the selection in isolation."""
-    return CriticalPoint(
-        xi=np.array([1.0 + 0j]),
-        a=Polynomial([1.0, 1.0]),
-        b=Polynomial([1.0]),
-        q0=1.0,
-        criterion=complex(phi),
-        is_real=real,
-        is_hurwitz=hurwitz,
-        ls_residual=0.0,
-    )
+def crafted_table(phi, real=None, hurwitz=None, ls_residual=None) -> CandidateTable:
+    """Candidates of the order-3 system ``select_system()`` with the given
+    criterion values and admissibility flags (all admissible by default);
+    every row holds the same stable a = (s + 0.5)(s + 0.7) and b = s + 1."""
+    k = len(phi)
+    ones = np.ones(k, dtype=bool)
+    return CandidateTable(
+        xi=np.ones((k, 3), dtype=complex), a=np.tile([1.0, 1.2, 0.35 + 0j], (k, 1)),
+        b=np.tile([1.0, 1.0 + 0j], (k, 1)), q0=np.ones(k, dtype=complex),
+        phi=np.array(phi, dtype=complex),
+        real=ones if real is None else np.array(real), b_real=ones,
+        hurwitz=ones if hurwitz is None else np.array(hurwitz),
+        ls_residual=np.zeros(k) if ls_residual is None else np.array(ls_residual),
+        poles=np.tile([-0.5, -0.7 + 0j], (k, 1)))
+
+
+def select_system():
+    return validate(TransferFunction(Polynomial([1.0, 4.0]), Polynomial([1.0, 6.0, 11.0, 6.0])))
 
 
 class TestCriticalValue:
@@ -81,29 +86,53 @@ class TestCriticalValue:
 
 
 class TestSelectGlobal:
-    def test_single_admissible_wins(self):
-        cands = [
-            make_candidate(0.1, real=False),
-            make_candidate(0.5),
-            make_candidate(0.2 + 0.3j, real=False),
-        ]
-        assert select_global(cands) is cands[1]
+    """The select stage of ``solve_reduction`` on a crafted candidate table."""
 
-    def test_walk_skips_inadmissible_levels(self):
-        cands = [
-            make_candidate(0.05, real=False),           # complex, smallest
-            make_candidate(0.10, hurwitz=False),        # real non-Hurwitz
-            make_candidate(0.20),                        # first admissible
-            make_candidate(0.90),
-        ]
-        assert select_global(cands).criterion.real == pytest.approx(0.20)
+    @staticmethod
+    def solve(monkeypatch, table):
+        monkeypatch.setattr(reduce_mod, "recover_candidates", lambda sys, xis: (table, 0))
+        return solve_reduction(select_system())
 
-    def test_increasing_order(self):
-        cands = [make_candidate(0.9), make_candidate(0.3), make_candidate(0.6)]
-        assert select_global(cands).criterion.real == pytest.approx(0.3)
+    def test_single_admissible_wins(self, monkeypatch):
+        table = crafted_table([0.1, 0.5, 0.2 + 0.3j], real=[False, True, False])
+        rep = self.solve(monkeypatch, table)
+        assert rep.global_candidate is table[1]
+        assert rep.admissible == [table[1]]
 
-    def test_empty(self):
-        assert select_global([make_candidate(0.4, real=False)]) is None
+    def test_walk_skips_inadmissible_levels(self, monkeypatch):
+        # complex and smallest, real non-Hurwitz, the first admissible, another
+        table = crafted_table([0.05, 0.10, 0.20, 0.90], real=[False, True, True, True],
+                              hurwitz=[True, False, True, True])
+        rep = self.solve(monkeypatch, table)
+        assert rep.global_candidate is table[2]
+        assert rep.global_error == np.sqrt(0.20)
+        # the levels count every rankable phi, admissible or not
+        assert rep.critical_values_sorted == [0.05, 0.10, 0.20, 0.90]
+
+    def test_increasing_order(self, monkeypatch):
+        # the first of two equal least values wins, as min() takes it
+        table = crafted_table([0.9, 0.3, 0.6, 0.3])
+        rep = self.solve(monkeypatch, table)
+        assert rep.global_candidate is table[1]
+        assert rep.admissible == list(table)
+
+    def test_unrankable_admissible_phi_raises(self, monkeypatch):
+        # only the admissible phi = 0 counts: the negative complex row is
+        # no candidate to rank
+        table = crafted_table([-0.1, 0.0, 0.5], real=[False, True, True])
+        with pytest.raises(NumericalError, match="cannot be ranked") as exc:
+            self.solve(monkeypatch, table)
+        assert exc.value.diagnostics["unrankable_criteria"] == 1
+
+    def test_empty(self, monkeypatch):
+        table = crafted_table([0.4, 0.2, 0.3, 0.1], real=[False, True, True, False],
+                              hurwitz=[True, False, True, True], ls_residual=[0, 0, 1, 0])
+        with pytest.raises(NoAdmissibleSolutionError) as exc:
+            self.solve(monkeypatch, table)
+        d = exc.value.diagnostics
+        assert d["n_candidates"] == 4
+        assert d["rejections"] == {"complex": 2, "non-hurwitz": 1, "high-residual": 1}
+        assert list(d["rejections"]) == ["complex", "non-hurwitz", "high-residual"]
 
 
 def perfbench_inputs() -> dict:
@@ -116,10 +145,15 @@ class TestCriticalLevels:
     ``_dedupe``, against the pairwise loop it replaced."""
 
     @staticmethod
-    def assert_same_levels(phi):
+    def levels(phi):
+        """The levels of phi as the select stage takes them: its rankable
+        values, through the one mask of the solve."""
         phi = np.asarray(phi, dtype=complex)
-        got = reduce_mod._critical_levels(phi)
-        assert got == loop_critical_levels(phi)
+        return reduce_mod._critical_levels(phi.real[reduce_mod._rankable(phi)])
+
+    def assert_same_levels(self, phi):
+        got = self.levels(phi)
+        assert got == loop_critical_levels(np.asarray(phi, dtype=complex))
         assert all(type(v) is float for v in got)
         return got
 
@@ -157,7 +191,7 @@ class TestCriticalLevels:
         # an overflowed phi neither swallows the finite levels nor reaches
         # the clustering, whose subtraction would warn
         phi = np.array([1, np.inf, 2, np.inf + np.inf * 1j, complex(np.inf, np.inf)])
-        assert reduce_mod._critical_levels(phi) == [1.0, 2.0]
+        assert self.levels(phi) == [1.0, 2.0]
 
     def test_random_clusters(self):
         tol = TOL.value_cluster
@@ -353,7 +387,9 @@ class TestSolveReduction:
         with pytest.raises(NoAdmissibleSolutionError) as exc:
             solve_reduction(validate(tf))
         d = exc.value.diagnostics
-        assert "rejections" in d
+        # rejections are counted by reason, and every candidate has one
+        assert list(d["rejections"]) == ["complex", "non-hurwitz", "high-residual"]
+        assert sum(d["rejections"].values()) == d["n_candidates"] > 0
         # exit 2 comes after the eigen stage: the error carries the ledger,
         # and its stage times end at select and sum to elapsed_s
         assert d["ledger"] == {"found": 8, "rejected": 0, "merged": 0, "at_zero": 1}
@@ -470,17 +506,9 @@ class TestSolveReduction:
         assert d["worst_gap"] == pytest.approx(gap.max(), rel=1e-12)
         assert f"relative gap {gap[bad[0]]:.3e}" in str(exc.value)
 
-    def test_cvm_match_works_in_blocks(self, monkeypatch):
-        sys = validate(random_real_pole_system(np.random.default_rng(22), 3))
-        whole = solve_reduction(sys, method="cvm")
-        monkeypatch.setattr(reduce_mod, "_MATCH_BLOCK", 1)
-        blocked = solve_reduction(sys, method="cvm")
-        assert [cp.criterion for cp in blocked.candidates] == [
-            cp.criterion for cp in whole.candidates]
-
 
 @pytest.mark.parametrize("func", [validate, build_M, recover_candidates,
-                                  common_eigen_solutions, select_global, solve_reduction],
+                                  common_eigen_solutions, solve_reduction],
                          ids=lambda f: f.__name__)
 def test_thresholds_are_not_parameters(func):
     # the library's counterpart of the command line's fixed thresholds: no

@@ -27,13 +27,14 @@ At eigen seeds 0 and 1 the digest runs
 - the cases of ``perfbench.inputs.relaxation_cases`` with the form shifts
   0, 1 and 2, through ``cli.main`` (their argv asks for structured output).
 
-Each run records its exit code, its standard output, the bytes of the
-global numerator and denominator, the criterion value phi of every
-candidate in hex, a hash of every field of every candidate, and the
-diagnostics that do not measure time, of a typed failure or of a report
-(seed, method, conjugation defect, degenerate q0 rejections, the cvm
-eigenvalues and the cross-check). Only ``perfbench/inputs.py`` is read
-from the benchmark.
+Each run records its exit code, the bytes of the global numerator and
+denominator, the criterion value phi of every candidate in hex, a hash of
+every field of every candidate, and the diagnostics that do not measure
+time, of a typed failure or of a report (seed, method, conjugation defect,
+ledger, degenerate q0 rejections and the cross-check). A run of
+``cli.main`` also records its standard output and its standard error, less
+the lines ``stage_s:`` and ``elapsed_s:`` of a failure, which are timings.
+Only ``perfbench/inputs.py`` is read from the benchmark.
 """
 
 from __future__ import annotations
@@ -132,16 +133,18 @@ def cli_run(cli, case, seed: int) -> dict:
         reports.append(original(*args, **kwargs))
         return reports[-1]
 
-    out = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     cli.solve_reduction = capture
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(list(case.argv) + ["--seed", str(seed)])
     except Exception as exc:  # cli.main is documented never to raise
         return {"exit": -1, "error": repr(exc)}
     finally:
         cli.solve_reduction = original
-    record = {"exit": code, "stdout": out.getvalue()}
+    stderr = [line for line in err.getvalue().splitlines(keepends=True)
+              if line.strip().partition(":")[0] not in UNTIMED]
+    record = {"exit": code, "stdout": out.getvalue(), "stderr": "".join(stderr)}
     if code == 0:
         record.update(_report_fields(reports[-1]))
     return record
